@@ -24,7 +24,6 @@
 // records stream back live, and the resulting dataset is byte-identical
 // to the local run (same service, same sink, same RNG streams).
 #include <cstdint>
-#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <iostream>
@@ -38,6 +37,7 @@
 #include "service/dataset_sink.hpp"
 #include "service/generation_service.hpp"
 #include "synth/synthesizer.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
@@ -71,48 +71,34 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using util::read_flag;
   Options opt;
-  long long count_arg = static_cast<long long>(opt.count);
-  long long batch_arg = static_cast<long long>(opt.batch);
-  long long shard_arg = static_cast<long long>(opt.shard_size);
-  long long queue_arg = static_cast<long long>(opt.queue);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--backend=", 0) == 0) {
-      opt.backend = arg.substr(10);
-    } else if (arg.rfind("--out=", 0) == 0) {
-      opt.out = arg.substr(6);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (arg.rfind("--batch=", 0) == 0) {
-      batch_arg = std::atoll(arg.c_str() + 8);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      opt.threads = std::atoi(arg.c_str() + 10);
-    } else if (arg.rfind("--shard-size=", 0) == 0) {
-      shard_arg = std::atoll(arg.c_str() + 13);
-    } else if (arg.rfind("--queue=", 0) == 0) {
-      queue_arg = std::atoll(arg.c_str() + 8);
-    } else if (arg == "--fresh") {
-      opt.fresh = true;
-    } else if (arg.rfind("--daemon=", 0) == 0) {
-      opt.daemon = arg.substr(9);
-    } else if (arg.rfind("--", 0) == 0) {
-      return usage();
-    } else {
-      count_arg = std::atoll(arg.c_str());
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg.rfind("--backend=", 0) == 0) {
+        opt.backend = arg.substr(10);
+      } else if (arg.rfind("--out=", 0) == 0) {
+        opt.out = arg.substr(6);
+      } else if (arg == "--fresh") {
+        opt.fresh = true;
+      } else if (arg.rfind("--daemon=", 0) == 0) {
+        opt.daemon = arg.substr(9);
+      } else if (arg.rfind("--", 0) != 0) {
+        opt.count = util::parse_flag<std::size_t>("count", arg, 1);
+      } else if (!read_flag(arg, "--seed", opt.seed) &&
+                 !read_flag(arg, "--batch", opt.batch, 1) &&
+                 !read_flag(arg, "--threads", opt.threads) &&
+                 // 0 = a flat layout.
+                 !read_flag(arg, "--shard-size", opt.shard_size) &&
+                 !read_flag(arg, "--queue", opt.queue, 1)) {
+        return usage();
+      }
     }
-  }
-  // Validate before the signed -> size_t casts: a negative value must be
-  // an immediate usage error, not a wrapped huge count.
-  if (count_arg <= 0 || batch_arg <= 0 || queue_arg <= 0 || shard_arg < 0) {
-    std::cerr << "count, --batch and --queue must be positive"
-                 " (--shard-size may be 0 for a flat layout)\n";
+  } catch (const util::FlagError& e) {
+    std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
-  opt.count = static_cast<std::size_t>(count_arg);
-  opt.batch = static_cast<std::size_t>(batch_arg);
-  opt.shard_size = static_cast<std::size_t>(shard_arg);
-  opt.queue = static_cast<std::size_t>(queue_arg);
 
   if (!opt.daemon.empty()) {
     // Daemon mode: submit the identical spec and tail the manifest

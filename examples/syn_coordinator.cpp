@@ -16,17 +16,16 @@
 // misses to evict) keeps the membership live, and a sub-range whose
 // worker dies is re-dispatched to a surviving worker, resuming from the
 // part checkpoint. Drive it with synctl --fleet. Runs until SHUTDOWN or
-// SIGINT/SIGTERM.
-#include <signal.h>
-#include <unistd.h>
-
-#include <cstdlib>
-#include <exception>
+// SIGINT/SIGTERM. Jobs are bounded like a worker daemon's: beyond 64
+// retained terminal jobs per client the oldest answer
+// {"ok":false,"code":"expired"}. A malformed numeric value exits 1 with an
+// error naming the flag.
 #include <iostream>
+#include <memory>
 #include <string>
-#include <thread>
 
 #include "fleet/coordinator.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
@@ -41,78 +40,46 @@ int usage() {
   return 1;
 }
 
-std::size_t parse_size(const std::string& arg, std::size_t prefix) {
-  return static_cast<std::size_t>(
-      std::strtoull(arg.c_str() + prefix, nullptr, 10));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  using syn::util::read_flag;
   syn::fleet::CoordinatorConfig config;
   config.log = &std::cout;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--socket=", 0) == 0) {
-      config.socket_path = arg.substr(9);
-    } else if (arg.rfind("--worker=", 0) == 0) {
-      config.workers.push_back(arg.substr(9));
-    } else if (arg.rfind("--tcp=", 0) == 0) {
-      config.tcp_port = std::atoi(arg.c_str() + 6);
-    } else if (arg.rfind("--node=", 0) == 0) {
-      config.node_id = arg.substr(7);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      const int jobs = std::atoi(arg.c_str() + 7);
-      if (jobs < 1) {
-        std::cerr << "--jobs must be >= 1\n";
-        return 1;
-      }
-      config.max_concurrent = static_cast<std::size_t>(jobs);
-    } else if (arg.rfind("--hb-ms=", 0) == 0) {
-      config.hb_interval =
-          std::chrono::milliseconds(std::strtoll(arg.c_str() + 8, nullptr, 10));
-    } else if (arg.rfind("--hb-miss=", 0) == 0) {
-      config.hb_miss_limit = parse_size(arg, 10);
-    } else if (arg.rfind("--connect-timeout-ms=", 0) == 0) {
-      config.connect_timeout_ms = std::atoi(arg.c_str() + 21);
-    } else if (arg.rfind("--max-attempts=", 0) == 0) {
-      config.max_attempts = parse_size(arg, 15);
-    } else if (arg.rfind("--max-queued=", 0) == 0) {
-      config.quotas.max_queued_per_client = parse_size(arg, 13);
-    } else if (arg.rfind("--max-active=", 0) == 0) {
-      config.quotas.max_active_per_client = parse_size(arg, 13);
-    } else if (arg.rfind("--max-total-queued=", 0) == 0) {
-      config.quotas.max_total_queued = parse_size(arg, 19);
-    } else if (arg == "--quiet") {
-      config.log = nullptr;
-    } else {
-      return usage();
-    }
-  }
-  if (config.socket_path.empty() || config.workers.empty()) return usage();
-
   try {
-    // Same signal discipline as syn_daemon: consume stop signals on a
-    // dedicated sigwait thread so no async handler touches daemon state.
-    sigset_t stop_signals;
-    sigemptyset(&stop_signals);
-    sigaddset(&stop_signals, SIGINT);
-    sigaddset(&stop_signals, SIGTERM);
-    pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
-
-    syn::fleet::Coordinator coordinator(config);
-    coordinator.start();
-    std::thread signal_waiter([&coordinator, &stop_signals] {
-      int signal = 0;
-      sigwait(&stop_signals, &signal);
-      coordinator.request_stop(/*drain=*/true);
-    });
-    coordinator.serve();
-    ::kill(::getpid(), SIGTERM);
-    signal_waiter.join();
-    return 0;
-  } catch (const std::exception& e) {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg.rfind("--socket=", 0) == 0) {
+        config.socket_path = arg.substr(9);
+      } else if (arg.rfind("--worker=", 0) == 0) {
+        config.workers.push_back(arg.substr(9));
+      } else if (arg.rfind("--node=", 0) == 0) {
+        config.node_id = arg.substr(7);
+      } else if (arg == "--quiet") {
+        config.log = nullptr;
+      } else if (!read_flag(arg, "--tcp", config.tcp_port, 0, 65535) &&
+                 !read_flag(arg, "--jobs", config.max_concurrent, 1) &&
+                 // 0 ms would re-probe every worker in a tight loop.
+                 !read_flag(arg, "--hb-ms", config.hb_interval, 1) &&
+                 !read_flag(arg, "--hb-miss", config.hb_miss_limit) &&
+                 !read_flag(arg, "--connect-timeout-ms",
+                            config.connect_timeout_ms) &&
+                 !read_flag(arg, "--max-attempts", config.max_attempts) &&
+                 !read_flag(arg, "--max-queued",
+                            config.quotas.max_queued_per_client) &&
+                 !read_flag(arg, "--max-active",
+                            config.quotas.max_active_per_client) &&
+                 !read_flag(arg, "--max-total-queued",
+                            config.quotas.max_total_queued)) {
+        return usage();
+      }
+    }
+  } catch (const syn::util::FlagError& e) {
     std::cerr << "syn_coordinator: " << e.what() << "\n";
     return 1;
   }
+  if (config.socket_path.empty() || config.workers.empty()) return usage();
+  return syn::server::serve_main("syn_coordinator", [&] {
+    return std::make_unique<syn::fleet::Coordinator>(config);
+  });
 }

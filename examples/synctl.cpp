@@ -39,7 +39,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <exception>
 #include <iostream>
 #include <map>
@@ -51,6 +50,7 @@
 #include "server/client.hpp"
 #include "server/metrics.hpp"
 #include "server/protocol.hpp"
+#include "util/flags.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -59,6 +59,8 @@ using syn::server::ClientConnection;
 using syn::server::JobSpec;
 using syn::server::StreamFilter;
 using syn::util::Json;
+using syn::util::parse_flag;
+using syn::util::read_flag;
 
 int usage() {
   std::cerr
@@ -113,17 +115,19 @@ int run(int argc, char** argv) {
   }
   if ((socket.empty() && tcp.empty()) || args.empty()) return usage();
 
-  ClientConnection conn = [&] {
-    if (!tcp.empty()) {
-      const auto colon = tcp.find(':');
-      if (colon == std::string::npos) {
-        throw std::runtime_error("--tcp needs HOST:PORT");
-      }
-      return ClientConnection::connect_tcp(
-          tcp.substr(0, colon), std::atoi(tcp.c_str() + colon + 1));
+  std::string tcp_host;
+  int tcp_port = 0;
+  if (!tcp.empty()) {
+    const auto colon = tcp.find(':');
+    if (colon == std::string::npos) {
+      throw std::runtime_error("--tcp needs HOST:PORT");
     }
-    return ClientConnection::connect_unix(socket);
-  }();
+    tcp_host = tcp.substr(0, colon);
+    tcp_port = parse_flag<int>("--tcp", tcp.substr(colon + 1), 1, 65535);
+  }
+  ClientConnection conn =
+      tcp.empty() ? ClientConnection::connect_unix(socket)
+                  : ClientConnection::connect_tcp(tcp_host, tcp_port);
 
   const std::string command = args[0];
   if (command == "submit") {
@@ -137,17 +141,6 @@ int run(int argc, char** argv) {
         spec.backend = arg.substr(10);
       } else if (arg.rfind("--out=", 0) == 0) {
         spec.out = arg.substr(6);
-      } else if (arg.rfind("--seed=", 0) == 0) {
-        spec.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-      } else if (arg.rfind("--batch=", 0) == 0) {
-        spec.batch = static_cast<std::size_t>(std::atoll(arg.c_str() + 8));
-      } else if (arg.rfind("--threads=", 0) == 0) {
-        spec.threads = std::atoi(arg.c_str() + 10);
-      } else if (arg.rfind("--shard-size=", 0) == 0) {
-        spec.shard_size =
-            static_cast<std::size_t>(std::atoll(arg.c_str() + 13));
-      } else if (arg.rfind("--queue=", 0) == 0) {
-        spec.queue = static_cast<std::size_t>(std::atoll(arg.c_str() + 8));
       } else if (arg == "--fresh") {
         spec.fresh = true;
       } else if (arg == "--no-synth-stats") {
@@ -156,10 +149,14 @@ int run(int argc, char** argv) {
         client = arg.substr(9);
       } else if (arg == "--tail") {
         tail = true;
-      } else if (arg.rfind("--", 0) == 0) {
+      } else if (arg.rfind("--", 0) != 0) {
+        spec.count = parse_flag<std::size_t>("count", arg);
+      } else if (!read_flag(arg, "--seed", spec.seed) &&
+                 !read_flag(arg, "--batch", spec.batch) &&
+                 !read_flag(arg, "--threads", spec.threads) &&
+                 !read_flag(arg, "--shard-size", spec.shard_size) &&
+                 !read_flag(arg, "--queue", spec.queue)) {
         return usage();
-      } else {
-        spec.count = static_cast<std::size_t>(std::atoll(arg.c_str()));
       }
     }
     // The daemon resolves relative paths against ITS working directory;
@@ -201,11 +198,8 @@ int run(int argc, char** argv) {
     for (std::size_t i = 1; i < args.size(); ++i) {
       if (args[i] == "--json") {
         json = true;
-      } else if (args[i].rfind("--watch=", 0) == 0) {
-        watch_ms = std::atol(args[i].c_str() + 8);
-      } else if (args[i].rfind("--limit=", 0) == 0) {
-        limit = static_cast<std::size_t>(std::atoll(args[i].c_str() + 8));
-      } else {
+      } else if (!read_flag(args[i], "--watch", watch_ms) &&
+                 !read_flag(args[i], "--limit", limit)) {
         return usage();
       }
     }
@@ -269,11 +263,8 @@ int run(int argc, char** argv) {
   if (command == "bench") {
     syn::server::BenchOptions options;
     options.socket_path = socket;
-    if (!tcp.empty()) {
-      const auto colon = tcp.find(':');
-      options.tcp_host = tcp.substr(0, colon);
-      options.tcp_port = std::atoi(tcp.c_str() + colon + 1);
-    }
+    options.tcp_host = tcp_host;
+    options.tcp_port = tcp_port;
     // Small, fast jobs by default — the point is daemon overhead, not
     // model throughput.
     options.spec.count = 4;
@@ -281,28 +272,18 @@ int run(int argc, char** argv) {
     options.log = &std::cerr;
     for (std::size_t i = 1; i < args.size(); ++i) {
       const std::string& arg = args[i];
-      if (arg.rfind("--clients=", 0) == 0) {
-        options.clients = static_cast<std::size_t>(std::atoll(arg.c_str() + 10));
-      } else if (arg.rfind("--jobs=", 0) == 0) {
-        options.total_jobs =
-            static_cast<std::size_t>(std::atoll(arg.c_str() + 7));
-      } else if (arg.rfind("--count=", 0) == 0) {
-        options.spec.count =
-            static_cast<std::size_t>(std::atoll(arg.c_str() + 8));
-      } else if (arg.rfind("--backend=", 0) == 0) {
+      if (arg.rfind("--backend=", 0) == 0) {
         options.spec.backend = arg.substr(10);
       } else if (arg.rfind("--out=", 0) == 0) {
         options.out_root = arg.substr(6);
-      } else if (arg.rfind("--seed=", 0) == 0) {
-        options.spec.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-      } else if (arg.rfind("--batch=", 0) == 0) {
-        options.spec.batch =
-            static_cast<std::size_t>(std::atoll(arg.c_str() + 8));
-      } else if (arg.rfind("--threads=", 0) == 0) {
-        options.spec.threads = std::atoi(arg.c_str() + 10);
       } else if (arg == "--quiet") {
         options.log = nullptr;
-      } else {
+      } else if (!read_flag(arg, "--clients", options.clients) &&
+                 !read_flag(arg, "--jobs", options.total_jobs) &&
+                 !read_flag(arg, "--count", options.spec.count) &&
+                 !read_flag(arg, "--seed", options.spec.seed) &&
+                 !read_flag(arg, "--batch", options.spec.batch) &&
+                 !read_flag(arg, "--threads", options.spec.threads)) {
         return usage();
       }
     }

@@ -1,10 +1,7 @@
-// The dataset-generation daemon: a resident socket front end over
-// service::GenerationService.
+// The dataset-generation daemon: the JobServer (server/job_server.hpp)
+// with an executor that generates locally.
 //
-//   listener (unix socket, optional loopback TCP)
-//        │ one thread per connection, newline-delimited JSON requests
-//        ▼
-//   JobScheduler (fair-share across clients, N concurrent, cancel/drain)
+//   JobServer (listener, protocol, scheduler, event logs, GC, METRICS)
 //        │ job body, on a pool thread
 //        ▼
 //   GenerationService ── TeeSink ──► ShardedDiskSink      (durable dataset)
@@ -13,6 +10,14 @@
 //                                                             ▼
 //                                                        STREAM subscribers
 //
+// The daemon's own share of the protocol is small: HELLO answers role
+// "worker", HEARTBEAT adds stall_ms and designs_committed, METRICS adds
+// the synth_cache and inference sections (plus the sink_stall_ms gauge
+// and group_commit_ms / generate_<backend>_ms tracks), and WORKERS is the
+// not_coordinator error. Every other verb, METRICS section and limit —
+// quotas, max_designs_per_job, max_out_bytes, terminal-job GC — is the
+// JobServer's, shared with the fleet coordinator.
+//
 // Jobs run through the same ShardedDiskSink as a local generate_dataset
 // invocation — same lockfile, same checkpoint, same manifests — so a
 // daemon job is byte-identical to the equivalent CLI run, a killed daemon
@@ -20,32 +25,15 @@
 // up where an interrupted CLI run left off.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
-#include <filesystem>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <ostream>
-#include <set>
 #include <string>
-#include <thread>
-#include <utility>
-#include <vector>
 
 #include "core/generator.hpp"
 #include "core/registry.hpp"
-#include "server/event_log.hpp"
-#include "server/metrics.hpp"
-#include "server/protocol.hpp"
-#include "server/scheduler.hpp"
-#include "util/json.hpp"
+#include "server/job_server.hpp"
 #include "util/rng.hpp"
 
 namespace syn::server {
@@ -83,172 +71,19 @@ using BackendFactory = std::function<FittedBackend(const std::string& name)>;
 FittedBackend make_default_backend(const std::string& name,
                                    std::ostream* log = nullptr);
 
-struct DaemonConfig {
-  /// Unix-domain socket to listen on (required; created at start(),
-  /// unlinked at stop()).
-  std::filesystem::path socket_path;
-  /// Also listen on 127.0.0.1:tcp_port (0 = unix socket only).
-  int tcp_port = 0;
-  /// Identity reported to HELLO/HEARTBEAT (fleet membership is keyed on
-  /// it); empty = "worker-<pid>".
-  std::string node_id;
-  /// Jobs running concurrently (each parallelizes internally via
-  /// spec.threads).
-  std::size_t max_concurrent = 1;
-  /// Daemon log stream (connections, job lifecycle); null = quiet.
-  std::ostream* log = nullptr;
+struct DaemonConfig : JobServerConfig {
   /// Backend construction hook; null = make_default_backend. Tests
   /// inject cheap stub models here.
   BackendFactory factory;
-
-  // ---- Admission control (all 0 = unlimited) -------------------------
-  /// Per-client / global queue quotas, enforced inside the scheduler.
-  JobScheduler::Quotas quotas;
-  /// Max designs one SUBMIT may request.
-  std::size_t max_designs_per_job = 0;
-  /// Disk budget per output dir: a SUBMIT whose spec.out already holds
-  /// at least this many bytes is rejected (coarse, checked once at
-  /// admission — a resident daemon's main disk hazard is a client
-  /// resubmitting into a dir that keeps growing).
-  std::uintmax_t max_out_bytes = 0;
-
-  // ---- Terminal-job GC ----------------------------------------------
-  /// Terminal jobs retained per client; beyond this the oldest are
-  /// evicted (scheduler entry, spec, and event log together) and STATUS
-  /// answers "expired". 0 = evict immediately at terminal.
-  std::size_t gc_retain = 64;
-  /// Terminal jobs older than this are evicted even within the
-  /// per-client retention window (0 = no TTL). Swept on every terminal
-  /// event and every METRICS request.
-  std::chrono::milliseconds gc_ttl{0};
 };
 
-class Daemon {
+/// The JobServer with the local-generation executor: each job runs
+/// GenerationService → TeeSink(ShardedDiskSink, StreamingManifestSink),
+/// over a fitted backend built once per backend name and cached for the
+/// daemon's lifetime.
+class Daemon : public JobServer {
  public:
   explicit Daemon(DaemonConfig config);
-  ~Daemon();
-
-  Daemon(const Daemon&) = delete;
-  Daemon& operator=(const Daemon&) = delete;
-
-  /// Binds the listeners and starts accepting. Throws on bind failure
-  /// (socket path in use by a live daemon, TCP port taken, ...).
-  void start();
-
-  /// Blocks until a protocol shutdown request (or request_stop) arrives,
-  /// then tears down: stops intake, drains or cancels the scheduler,
-  /// closes every connection, joins every thread. start() + serve() is
-  /// the daemon main loop.
-  void serve();
-
-  /// Asynchronous stop trigger (signal handlers, tests). drain=true
-  /// finishes queued + running jobs first.
-  void request_stop(bool drain);
-
-  [[nodiscard]] const DaemonConfig& config() const { return config_; }
-  [[nodiscard]] JobScheduler& scheduler() { return *scheduler_; }
-  [[nodiscard]] MetricsRegistry& metrics() { return registry_; }
-
- private:
-  void accept_loop(int listen_fd);
-  void handle_connection(int fd, std::size_t connection_id);
-  /// One request -> one response (STREAM additionally writes event lines
-  /// before returning its terminal response). Returns false when the
-  /// connection should close (write failure).
-  bool handle_request(const Request& request, const std::string& conn_client,
-                      int fd);
-
-  void run_generation_job(const JobSpec& spec,
-                          const JobScheduler::Handle& handle);
-  std::shared_ptr<EventLog> event_log(const std::string& id);
-  /// Get-or-create, unless the job has been GC-evicted (then nullptr —
-  /// creating a fresh, never-closed log for an expired job would leave
-  /// its subscriber blocked forever).
-  std::shared_ptr<EventLog> event_log_unless_expired(const std::string& id);
-  /// Terminal event + close; no-op if the log is already closed.
-  void end_event_log(const std::string& id, JobState state,
-                     const std::string& error);
-  FittedBackend fitted_backend(const std::string& name);
-  [[nodiscard]] util::Json job_json(const JobScheduler::Info& info) const;
-  void log_line(const std::string& line);
-
-  /// The METRICS payload: registry snapshot + one-lock scheduler counts
-  /// + per-client loads + synth-cache hit rate.
-  [[nodiscard]] util::Json metrics_json();
-  /// "expired" vs "unknown job" error for an id the scheduler no longer
-  /// knows.
-  [[nodiscard]] util::Json job_gone_response(const std::string& id);
-  /// Records a freshly terminal job in the retention history, then
-  /// evicts whatever the retention/TTL rules no longer cover.
-  void note_terminal(const JobScheduler::Info& info);
-  /// Applies the per-client retention count + TTL, evicting scheduler
-  /// entry, spec and event log together. Evicted ids land in the
-  /// expired ring so STATUS/STREAM/CANCEL answer "expired".
-  void gc_terminal_jobs();
-
-  DaemonConfig config_;
-
-  std::vector<int> listen_fds_;
-  std::vector<std::thread> accept_threads_;
-
-  mutable std::mutex mutex_;  // connections, logs, specs, backends
-  std::vector<std::pair<std::size_t, int>> connections_;
-  std::vector<std::thread> connection_threads_;
-  std::size_t next_connection_ = 0;
-  std::map<std::string, std::shared_ptr<EventLog>> logs_;
-  std::map<std::string, JobSpec> specs_;
-
-  struct BackendEntry {
-    bool building = true;
-    FittedBackend backend;
-    std::string error;
-  };
-  std::map<std::string, std::shared_ptr<BackendEntry>> backends_;
-  std::condition_variable backend_ready_;
-
-  /// Cumulative microseconds generation producers spent blocked pushing
-  /// into the sink queue (backpressure), across all jobs — rendered as
-  /// the sink_stall_ms gauge so a slow disk/synth consumer is visible.
-  std::atomic<std::uint64_t> sink_stall_us_{0};
-
-  // ---- Terminal-job GC state (guarded by mutex_) ---------------------
-  struct TerminalRecord {
-    std::string id;
-    std::chrono::steady_clock::time_point at;
-  };
-  /// Terminal jobs per client, oldest first; trimmed by gc_retain/gc_ttl.
-  std::map<std::string, std::deque<TerminalRecord>> terminal_history_;
-  /// Ids evicted by GC, so STATUS/STREAM/CANCEL answer "expired" instead
-  /// of "unknown job". Itself a bounded ring (kExpiredRetention) — after
-  /// enough churn the very oldest evictions degrade to "unknown job",
-  /// which is still a correct (if less precise) answer.
-  static constexpr std::size_t kExpiredRetention = 4096;
-  std::set<std::string> expired_;
-  std::deque<std::string> expired_order_;
-
-  /// Declared before scheduler_: the scheduler (and job bodies it joins
-  /// at destruction) observe latencies into this registry, so it must be
-  /// destroyed after them.
-  MetricsRegistry registry_;
-
-  /// One-shot teardown executed by serve() (or the destructor if serve
-  /// never ran). Joins every thread; idempotent.
-  void teardown(bool drain);
-
-  mutable std::mutex log_mutex_;
-
-  std::mutex stop_mutex_;
-  std::condition_variable stop_cv_;
-  bool stop_requested_ = false;
-  bool stop_drain_ = true;
-  std::mutex teardown_mutex_;
-  bool torn_down_ = false;
-  std::atomic<bool> started_{false};
-
-  /// Declared LAST on purpose: its destructor joins the job pool, and a
-  /// job's terminal callback may touch any member above — destroying the
-  /// scheduler first makes that safe.
-  std::unique_ptr<JobScheduler> scheduler_;
 };
 
 }  // namespace syn::server

@@ -3,9 +3,11 @@
 // WorkerRegistry liveness state machine, the typed connect-path errors,
 // and the coordinator end to end over real sockets — two-worker byte
 // identity against a single-daemon run, worker death mid-job with
-// checkpointed failover, heartbeat eviction + re-registration. Part of
-// the TSan CI tier — the dispatcher's monitor threads, the heartbeat
-// loop and the registry are its concurrency surface.
+// checkpointed failover, heartbeat eviction + re-registration, the
+// coordinator's terminal-job GC, and the METRICS fields the end-to-end
+// benchmark reads from coordinator and workers. Part of the TSan CI tier
+// — the dispatcher's monitor threads, the heartbeat loop and the
+// registry are its concurrency surface.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -16,6 +18,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -685,6 +689,93 @@ TEST_F(FleetTest, SubmitWithNoLiveWorkersIsATypedRejection) {
   coordinator->probe_workers();
   const std::string id = conn.submit(stub_spec(2, 13), "tester");
   EXPECT_EQ(conn.stream(id, nullptr), "done");
+}
+
+TEST_F(FleetTest, CoordinatorEvictsTerminalJobsBeyondRetention) {
+  const auto w_sock = socket_path("gc_w");
+  RunningDaemon worker(worker_config(w_sock, "w1"));
+  CoordinatorConfig config =
+      coordinator_config(socket_path("gc_c"), {w_sock.string()});
+  config.gc_retain = 2;
+  RunningCoordinator coordinator(config);
+
+  auto conn = ClientConnection::connect_unix(socket_path("gc_c"));
+  std::vector<std::string> ids;
+  for (int i = 0; i < 4; ++i) {
+    JobSpec spec = stub_spec(2, 50 + i);
+    spec.out = dir_ / ("gc_" + std::to_string(i));
+    ids.push_back(conn.submit(spec, "gc-client"));
+    EXPECT_EQ(conn.stream(ids.back(), nullptr), "done");
+  }
+
+  // GC runs after each terminal event; poll until the two oldest are out.
+  Json metrics;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  do {
+    metrics = conn.metrics();
+  } while (metrics.at("jobs").at("expired").u64() < 2 &&
+           std::chrono::steady_clock::now() < deadline);
+  EXPECT_EQ(metrics.at("jobs").at("expired").u64(), 2u);
+  EXPECT_EQ(metrics.at("jobs").at("tracked").u64(), 2u);
+  EXPECT_EQ(metrics.at("gauges").at("tracked_specs").i64(), 2);
+  EXPECT_EQ(metrics.at("gauges").at("event_logs").i64(), 2);
+
+  // The oldest job answers the typed "expired", like a worker daemon's.
+  const auto expect_expired = [](const char* verb,
+                                 const std::function<void()>& call) {
+    try {
+      call();
+      FAIL() << verb << " of an evicted fleet job must report expired";
+    } catch (const DaemonError& e) {
+      EXPECT_EQ(e.code, server::kErrorCodeExpired) << verb;
+    }
+  };
+  expect_expired("status", [&] { (void)conn.status(ids.front()); });
+  expect_expired("stream", [&] { (void)conn.stream(ids.front(), nullptr); });
+  expect_expired("cancel", [&] { (void)conn.cancel(ids.front()); });
+  EXPECT_EQ(conn.status(ids.back()).at("state").str(), "done");
+}
+
+TEST_F(FleetTest, MetricsCarryEveryFieldTheBenchmarkReads) {
+  const auto w1_sock = socket_path("ms_w1");
+  const auto w2_sock = socket_path("ms_w2");
+  RunningDaemon worker1(worker_config(w1_sock, "w1"));
+  RunningDaemon worker2(worker_config(w2_sock, "w2"));
+  RunningCoordinator coordinator(coordinator_config(
+      socket_path("ms_c"), {w1_sock.string(), w2_sock.string()}));
+  auto conn = ClientConnection::connect_unix(socket_path("ms_c"));
+  const std::string id = conn.submit(stub_spec(4, 5), "tester");
+  ASSERT_EQ(conn.stream(id, nullptr), "done");
+
+  const auto expect_fields = [](const Json& snapshot, const char* who,
+                                const char* section,
+                                std::initializer_list<const char*> names) {
+    const Json* group = snapshot.find(section);
+    ASSERT_NE(group, nullptr) << who << " has no " << section;
+    for (const char* name : names) {
+      EXPECT_NE(group->find(name), nullptr) << who << " " << section << "."
+                                            << name;
+    }
+  };
+  const auto jobs = {"submitted", "rejected", "queued",  "running", "done",
+                     "failed",    "cancelled", "expired", "tracked"};
+  const Json coord = conn.metrics();
+  expect_fields(coord, "coordinator", "latency",
+                {"fleet_subjob_ms", "hb_rtt_ms"});
+  expect_fields(coord, "coordinator", "counters", {"fleet_redispatches"});
+  expect_fields(coord, "coordinator", "jobs", jobs);
+  const std::string text = server::render_metrics_text(coord);
+  EXPECT_NE(text.find("\nsyn_jobs_done "), std::string::npos);
+  EXPECT_NE(text.find("\nsyn_counters_fleet_redispatches "),
+            std::string::npos);
+
+  for (const auto& sock : {w1_sock, w2_sock}) {
+    const Json worker = ClientConnection::connect_unix(sock).metrics();
+    expect_fields(worker, "worker", "latency", {"dispatch_ms", "job_ms"});
+    expect_fields(worker, "worker", "synth_cache", {"hits", "misses"});
+    expect_fields(worker, "worker", "jobs", jobs);
+  }
 }
 
 TEST_F(FleetTest, MalformedHelloGetsErrorResponseNotDisconnect) {

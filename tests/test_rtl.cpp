@@ -79,6 +79,10 @@ struct GenCase {
   Graph (*make)();
 };
 
+// Print the label alone: gtest's default byte dump of GenCase embeds heap and
+// function addresses, so the listed test names would change from build to build.
+void PrintTo(const GenCase& c, std::ostream* os) { *os << c.label; }
+
 Graph gen_counter() { return make_counter(16); }
 Graph gen_shift() { return make_shift_register(8, 6); }
 Graph gen_lfsr() { return make_lfsr(16, 0xB400u); }

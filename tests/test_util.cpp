@@ -1,8 +1,9 @@
 // Tests for the utility layer: RNG statistical sanity and determinism,
-// table formatting, summaries, and the hand-rolled JSON used by the
-// daemon protocol.
+// table formatting, summaries, the hand-rolled JSON used by the daemon
+// protocol, and the strict numeric flag parser of the executables.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "util/flags.hpp"
 #include "util/histogram.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -336,6 +338,73 @@ TEST(Json, TypedAccessorsEnforceExactness) {
   EXPECT_THROW((void)huge.at("pos").u64(), JsonError);
   EXPECT_THROW((void)huge.at("pos").i64(), JsonError);
   EXPECT_THROW((void)huge.at("neg").i64(), JsonError);
+}
+
+
+// Message of the FlagError a flag value raises ("" when it parses).
+template <class T>
+std::string flag_error(const char* arg, T min = 0) {
+  T out{};
+  try {
+    (void)read_flag(arg, "--flag", out, min);
+  } catch (const FlagError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Flags, RejectsMalformedNumbersNamingTheFlag) {
+  // Read as 0, each would silently change meaning: --max-designs=abc
+  // "unlimited", --hb-ms=abc a 0 ms heartbeat, --tcp=abc no TCP listener,
+  // --seed=abc seed 0. Each must be an error that names the flag.
+  for (const char* arg : {"--flag=abc", "--flag=", "--flag=12abc",
+                          "--flag= 12", "--flag=+12", "--flag=-1",
+                          "--flag=1.5", "--flag=0x10"}) {
+    const std::string message = flag_error<std::uint64_t>(arg);
+    EXPECT_EQ(message.rfind("--flag: ", 0), 0u) << arg << ": " << message;
+  }
+  // Overflow of the parse itself and of the target type.
+  EXPECT_NE(flag_error<std::uint64_t>("--flag=18446744073709551616")
+                .find("overflows"),
+            std::string::npos);
+  EXPECT_NE(flag_error<int>("--flag=2147483648").find("out of range"),
+            std::string::npos);
+  EXPECT_NE(flag_error<std::size_t>("--flag=0", 1).find("out of range"),
+            std::string::npos);
+  std::chrono::milliseconds ms{5};
+  EXPECT_THROW((void)read_flag("--hb-ms=abc", "--hb-ms", ms, 1), FlagError);
+  EXPECT_THROW((void)read_flag("--hb-ms=0", "--hb-ms", ms, 1), FlagError);
+  EXPECT_EQ(ms.count(), 5);
+  EXPECT_THROW((void)parse_flag<int>("--tcp", "abc", 0, 65535), FlagError);
+  EXPECT_THROW((void)parse_flag<int>("--tcp", "65536", 0, 65535), FlagError);
+}
+
+TEST(Flags, AcceptsEdgeValuesAndIgnoresOtherArgs) {
+  std::uint64_t u64 = 7;
+  EXPECT_TRUE(read_flag("--flag=0", "--flag", u64));
+  EXPECT_EQ(u64, 0u);
+  EXPECT_TRUE(read_flag("--flag=18446744073709551615", "--flag", u64));
+  EXPECT_EQ(u64, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_TRUE(read_flag("--flag=007", "--flag", u64));
+  EXPECT_EQ(u64, 7u);
+  int i = 0;
+  EXPECT_TRUE(read_flag("--flag=2147483647", "--flag", i));
+  EXPECT_EQ(i, std::numeric_limits<int>::max());
+  EXPECT_EQ(parse_flag<int>("--tcp", "65535", 0, 65535), 65535);
+  std::size_t jobs = 0;
+  EXPECT_TRUE(read_flag("--jobs=1", "--jobs", jobs, 1));
+  EXPECT_EQ(jobs, 1u);
+  std::chrono::milliseconds ms{0};
+  EXPECT_TRUE(read_flag("--hb-ms=250", "--hb-ms", ms, 1));
+  EXPECT_EQ(ms.count(), 250);
+
+  // Other flags, prefixes and the bare name are not this flag's business.
+  u64 = 3;
+  EXPECT_FALSE(read_flag("--flagx=1", "--flag", u64));
+  EXPECT_FALSE(read_flag("--fla=1", "--flag", u64));
+  EXPECT_FALSE(read_flag("--flag", "--flag", u64));
+  EXPECT_FALSE(read_flag("12", "--flag", u64));
+  EXPECT_EQ(u64, 3u);
 }
 
 }  // namespace
