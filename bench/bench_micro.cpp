@@ -370,26 +370,6 @@ void BM_DiscriminatorScore(benchmark::State& state) {
 }
 BENCHMARK(BM_DiscriminatorScore)->Arg(1)->Arg(8)->Arg(32);
 
-/// TeeSink fan-out overhead: one write delivered to 1 + Arg in-memory
-/// sinks (Arg = mirror count; /0 is the pass-through floor). The daemon
-/// runs every job through a tee (disk + stream mirror), so this row
-/// bounds what the fan-out itself costs relative to the write payload.
-void BM_TeeSink(benchmark::State& state) {
-  service::MemorySink primary;
-  std::vector<service::MemorySink> mirrors(
-      static_cast<std::size_t>(state.range(0)));
-  service::TeeSink tee(primary);
-  for (auto& mirror : mirrors) tee.add(mirror);
-  const service::DesignRecord record{
-      .index = 0, .chain_seed = 5, .graph = rtl::make_counter(4)};
-  for (auto _ : state) {
-    tee.write(record);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_TeeSink)->Arg(0)->Arg(3);
-
 /// End-to-end dataset service throughput: 8 designs per iteration pumped
 /// through GenerationService (producer generate_batch -> bounded queue ->
 /// sink consumer thread) into a memory sink. Compare against

@@ -11,7 +11,6 @@
 //   syncircuit_cli synth <file.v>                 synthesis + timing report
 //   syncircuit_cli dot   <file.v>                 Graphviz DOT to stdout
 //   syncircuit_cli corpus                         dump the built-in corpus
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -29,6 +28,7 @@
 #include "stats/metrics.hpp"
 #include "stats/scalefree.hpp"
 #include "synth/synthesizer.hpp"
+#include "util/flags.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -148,25 +148,23 @@ int main(int argc, char** argv) {
         const std::string arg = argv[i];
         if (arg.rfind("--backend=", 0) == 0) {
           opts.backend = arg.substr(10);
-        } else if (arg.rfind("--threads=", 0) == 0) {
-          opts.threads = std::atoi(arg.c_str() + 10);
-        } else if (arg.rfind("--trees=", 0) == 0) {
-          opts.trees = std::atoi(arg.c_str() + 8);
-        } else if (arg.rfind("--reward-batch=", 0) == 0) {
-          opts.reward_batch = std::atoi(arg.c_str() + 15);
-        } else {
+        } else if (!util::read_flag(arg, "--threads", opts.threads, 1) &&
+                   !util::read_flag(arg, "--trees", opts.trees, 1) &&
+                   !util::read_flag(arg, "--reward-batch", opts.reward_batch,
+                                    1)) {
           positional.push_back(arg);
         }
       }
-      const int count = !positional.empty() ? std::atoi(positional[0].c_str())
-                                            : 3;
+      const int count =
+          positional.size() > 0 ? util::parse_flag<int>("count", positional[0], 1)
+                                : 3;
       const std::size_t nodes =
           positional.size() > 1
-              ? static_cast<std::size_t>(std::atoi(positional[1].c_str()))
+              ? util::parse_flag<std::size_t>("nodes", positional[1], 1)
               : 60;
       const std::uint64_t seed =
           positional.size() > 2
-              ? static_cast<std::uint64_t>(std::atoll(positional[2].c_str()))
+              ? util::parse_flag<std::uint64_t>("seed", positional[2])
               : 1;
       return cmd_gen(count, nodes, seed, opts);
     }

@@ -4,17 +4,16 @@
 #include <atomic>
 #include <condition_variable>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
 
 #include "server/metrics.hpp"
+#include "server/stream_sink.hpp"
+#include "service/dataset_format.hpp"
 #include "service/dataset_merge.hpp"
-#include "service/dataset_sink.hpp"
 #include "service/generation_service.hpp"
 #include "util/json.hpp"
 
@@ -81,34 +80,6 @@ struct Progress {
   std::atomic<std::size_t> checkpoints{0};
 };
 
-/// The "generator" of an existing dataset's manifest.json, for the
-/// already-complete shortcut's summary event. Empty on any trouble.
-std::string dataset_generator(const std::filesystem::path& dir) {
-  std::ifstream in(dir / "manifest.json");
-  if (!in) return {};
-  std::stringstream text;
-  text << in.rdbuf();
-  try {
-    const Json summary = Json::parse(text.str());
-    if (const Json* generator = summary.find("generator")) {
-      return generator->str();
-    }
-  } catch (const util::JsonError&) {
-  }
-  return {};
-}
-
-std::string summary_event(const std::string& id, const std::string& generator,
-                          const JobSpec& spec) {
-  Json event;
-  event.set("event", "summary");
-  event.set("id", id);
-  event.set("generator", generator);
-  event.set("seed", spec.seed);
-  event.set("count", spec.count);
-  return event.dump();
-}
-
 }  // namespace
 
 FleetDispatcher::Result FleetDispatcher::run(
@@ -120,18 +91,30 @@ FleetDispatcher::Result FleetDispatcher::run(
   };
   const auto parts_root = spec.out / ".parts";
 
+  service::DatasetSummary summary;
+  summary.generator = spec.backend;
+  summary.seed = spec.seed;
+  summary.count = spec.count;
+  summary.batch = spec.batch;
+  summary.threads = spec.threads;
+
   // Already-complete dataset: nothing to dispatch (mirrors a worker's
-  // resume_index() == count fast path).
-  if (!spec.fresh && !std::filesystem::exists(parts_root) &&
-      service::read_dataset_checkpoint(spec.out, spec.seed,
-                                       spec.shard_size) >= spec.count) {
-    log("dataset already complete, nothing to dispatch");
-    std::string generator = dataset_generator(spec.out);
-    if (generator.empty()) generator = spec.backend;
-    emit(summary_event(id, generator, spec));
-    Result result;
-    result.generator = generator;
-    return result;
+  // resume_index() == count fast path, with the same cross-check of
+  // checkpoint, manifest and design files).
+  if (!spec.fresh && !std::filesystem::exists(parts_root)) {
+    const service::ResumeState resume =
+        service::read_resume_state(spec.out, spec.seed, spec.shard_size);
+    if (!resume.note.empty()) log(resume.note);
+    if (resume.next >= spec.count) {
+      log("dataset already complete, nothing to dispatch");
+      if (const auto existing = service::read_summary_file(spec.out)) {
+        summary.generator = existing->generator;
+      }
+      emit(server::summary_event(id, summary));
+      Result result;
+      result.generator = summary.generator;
+      return result;
+    }
   }
   if (spec.fresh) {
     // Parts of an older run would fail merge validation against the new
@@ -219,7 +202,9 @@ FleetDispatcher::Result FleetDispatcher::run(
             if (kind->str() == "record" || kind->str() == "checkpoint") {
               Json forwarded = event;
               forwarded.set("id", id);
-              emit(forwarded.dump());
+              // The manifest's number form, so forwarded records carry
+              // the worker's manifest values verbatim.
+              emit(service::dump_manifest_json(forwarded));
               if (kind->str() == "record") {
                 progress->records.fetch_add(1, std::memory_order_relaxed);
               } else {
@@ -434,12 +419,7 @@ FleetDispatcher::Result FleetDispatcher::run(
   for (const SubJob& sj : subjobs) {
     parts.push_back({sj.part, sj.lo, sj.hi});
   }
-  service::DatasetSummary summary;
-  summary.generator = generator.empty() ? spec.backend : generator;
-  summary.seed = spec.seed;
-  summary.count = spec.count;
-  summary.batch = spec.batch;
-  summary.threads = spec.threads;
+  if (!generator.empty()) summary.generator = generator;
   Result result;
   result.records = service::merge_dataset_parts(spec.out, parts, spec.seed,
                                                 spec.shard_size, summary);
@@ -450,7 +430,7 @@ FleetDispatcher::Result FleetDispatcher::run(
   result.ranges = subjobs.size();
   result.redispatches = redispatches;
   result.generator = summary.generator;
-  emit(summary_event(id, summary.generator, spec));
+  emit(server::summary_event(id, summary));
   log("merged " + std::to_string(result.records) + " records from " +
       std::to_string(result.ranges) + " ranges (" +
       std::to_string(result.redispatches) + " redispatches)");

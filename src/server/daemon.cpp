@@ -62,7 +62,8 @@ double ms_between(std::chrono::steady_clock::time_point from,
 }
 
 /// Runs each job through GenerationService into the job's own
-/// ShardedDiskSink, teeing every manifest record into the job's stream.
+/// ShardedDiskSink, whose stream decorator mirrors every manifest record
+/// into the job's event log.
 class GenerationExecutor final : public JobExecutor {
  public:
   explicit GenerationExecutor(const DaemonConfig& config)
@@ -179,12 +180,10 @@ void GenerationExecutor::run(const JobSpec& spec,
                                  .fresh = spec.fresh,
                                  .with_synth_stats = spec.synth_stats,
                                  .log = nullptr});
-  StreamingManifestSink stream({.job_id = handle.id(),
-                                .shard_size = spec.shard_size,
-                                .with_synth_stats = spec.synth_stats},
-                               emit);
-  service::TeeSink tee(disk);
-  tee.add(stream);
+  StreamingManifestSink stream(disk, handle.id(), emit);
+  if (!disk.resume_note().empty()) {
+    server_->log_line(handle.id() + " " + disk.resume_note());
+  }
 
   auto last_commit = std::chrono::steady_clock::now();
   service::GenerationService svc(
@@ -243,7 +242,7 @@ void GenerationExecutor::run(const JobSpec& spec,
            .first = spec.start,
            .attrs = backend.attrs,
            .cancel = handle.cancel_token()},
-          tee);
+          stream);
 }
 
 }  // namespace

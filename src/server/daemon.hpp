@@ -4,11 +4,13 @@
 //   JobServer (listener, protocol, scheduler, event logs, GC, METRICS)
 //        │ job body, on a pool thread
 //        ▼
-//   GenerationService ── TeeSink ──► ShardedDiskSink      (durable dataset)
-//                            └─────► StreamingManifestSink ► job event log
-//                                                             │ replay+follow
-//                                                             ▼
-//                                                        STREAM subscribers
+//   GenerationService ──► StreamingManifestSink ──► ShardedDiskSink
+//                           (decorator)               (durable dataset;
+//                               │                      one synthesis
+//                               │ each manifest        per design)
+//                               ▼ record appended
+//                           job event log ── replay+follow ──► STREAM
+//                                                              subscribers
 //
 // The daemon's own share of the protocol is small: HELLO answers role
 // "worker", HEARTBEAT adds stall_ms and designs_committed, METRICS adds
@@ -78,7 +80,7 @@ struct DaemonConfig : JobServerConfig {
 };
 
 /// The JobServer with the local-generation executor: each job runs
-/// GenerationService → TeeSink(ShardedDiskSink, StreamingManifestSink),
+/// GenerationService → StreamingManifestSink → ShardedDiskSink,
 /// over a fitted backend built once per backend name and cached for the
 /// daemon's lifetime.
 class Daemon : public JobServer {

@@ -1,65 +1,58 @@
 #include "server/stream_sink.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
-#include "synth/synthesizer.hpp"
+#include "service/dataset_format.hpp"
 #include "util/json.hpp"
 
 namespace syn::server {
 
 using util::Json;
 
-StreamingManifestSink::StreamingManifestSink(Options options, Emit emit)
-    : options_(std::move(options)), emit_(std::move(emit)) {
+std::string summary_event(const std::string& job_id,
+                          const service::DatasetSummary& summary) {
+  Json event;
+  event.set("event", "summary");
+  event.set("id", job_id);
+  event.set("generator", summary.generator);
+  event.set("seed", summary.seed);
+  event.set("count", summary.count);
+  return event.dump();
+}
+
+StreamingManifestSink::StreamingManifestSink(service::ShardedDiskSink& disk,
+                                             std::string job_id, Emit emit)
+    : disk_(disk), job_id_(std::move(job_id)), emit_(std::move(emit)) {
   if (!emit_) {
     throw std::invalid_argument("StreamingManifestSink: emit is not set");
   }
 }
 
 void StreamingManifestSink::write(const service::DesignRecord& record) {
-  std::string file = record.graph.name() + ".v";
-  if (options_.shard_size > 0) {
-    char shard[16];
-    std::snprintf(shard, sizeof(shard), "shard_%04zu",
-                  record.index / options_.shard_size);
-    file = std::string(shard) + "/" + file;
-  }
+  disk_.write(record);
   Json event;
   event.set("event", "record");
-  event.set("id", options_.job_id);
-  event.set("index", record.index);
-  event.set("file", std::move(file));
-  event.set("chain_seed", record.chain_seed);
-  event.set("nodes", static_cast<std::uint64_t>(record.graph.num_nodes()));
-  event.set("edges", static_cast<std::uint64_t>(record.graph.num_edges()));
-  if (options_.with_synth_stats) {
-    const auto stats = synth::synthesize_stats(record.graph);
-    event.set("gates", static_cast<std::uint64_t>(stats.gates_final));
-    event.set("scpr", stats.scpr());
-    event.set("pcs", stats.pcs());
+  event.set("id", job_id_);
+  for (const auto& [key, value] : disk_.last_record().object()) {
+    event.set(key, value);
   }
   ++records_;
-  emit_(event.dump());
+  emit_(service::dump_manifest_json(event));
 }
 
 void StreamingManifestSink::checkpoint(std::size_t next) {
+  disk_.checkpoint(next);
   Json event;
   event.set("event", "checkpoint");
-  event.set("id", options_.job_id);
+  event.set("id", job_id_);
   event.set("next", next);
   emit_(event.dump());
 }
 
 void StreamingManifestSink::finalize(const service::DatasetSummary& summary) {
-  Json event;
-  event.set("event", "summary");
-  event.set("id", options_.job_id);
-  event.set("generator", summary.generator);
-  event.set("seed", summary.seed);
-  event.set("count", summary.count);
-  emit_(event.dump());
+  disk_.finalize(summary);
+  emit_(summary_event(job_id_, summary));
 }
 
 }  // namespace syn::server

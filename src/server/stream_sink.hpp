@@ -1,13 +1,14 @@
-// StreamingManifestSink: the sink-fan-out half of the daemon's STREAM
-// command. Plugged behind a service::TeeSink mirror slot, it converts
-// every finished design into one protocol "record" event line (the same
-// fields ShardedDiskSink appends to manifest.jsonl) and hands it to an
-// emit callback — in the daemon that callback appends to the job's event
-// log, from which any number of STREAM subscribers replay + follow.
+// StreamingManifestSink: the sink half of the daemon's STREAM command. A
+// decorator over the job's ShardedDiskSink: every call goes to the disk
+// sink first, then becomes one protocol event line handed to an emit
+// callback — in the daemon that callback appends to the job's event log,
+// from which any number of STREAM subscribers replay + follow.
 //
-// Synth stats ride the structural-hash memo cache: the disk sink (the
-// tee's primary, written first) has already synthesized the design, so
-// the streaming mirror's lookup is a cache hit, not a second synthesis.
+// A "record" event is {"event":"record","id":…} followed by the fields
+// of the manifest.jsonl record the disk sink just appended, dumped in the
+// manifest's number form (service::dump_manifest_json). Each design is
+// therefore synthesized once, and a STREAM record equals its manifest
+// line by construction.
 #pragma once
 
 #include <cstddef>
@@ -18,27 +19,25 @@
 
 namespace syn::server {
 
+/// The protocol "summary" event that closes a job's record stream.
+[[nodiscard]] std::string summary_event(const std::string& job_id,
+                                        const service::DatasetSummary& summary);
+
 class StreamingManifestSink final : public service::DatasetSink {
  public:
-  struct Options {
-    /// Job id stamped on every event line.
-    std::string job_id;
-    /// Mirrors the disk sink's layout so the streamed "file" field names
-    /// the path the client will find on disk (0 = flat).
-    std::size_t shard_size = 64;
-    /// Include gates/scpr/pcs per record (cache-hit cheap behind a tee
-    /// whose primary already synthesized; a real synthesis otherwise).
-    bool with_synth_stats = true;
-  };
   /// Receives one complete protocol line (no trailing '\n') per event.
   /// Called from the service's sink-consumer thread.
   using Emit = std::function<void(std::string line)>;
 
-  StreamingManifestSink(Options options, Emit emit);
+  /// `disk` is borrowed and must outlive this sink; `job_id` is stamped
+  /// on every event line.
+  StreamingManifestSink(service::ShardedDiskSink& disk, std::string job_id,
+                        Emit emit);
 
-  /// Always 0: the stream mirror holds no durable state — the tee's
-  /// primary decides where a resumed run starts.
-  [[nodiscard]] std::size_t resume_index() const override { return 0; }
+  /// The disk sink's: it owns the durable checkpoint.
+  [[nodiscard]] std::size_t resume_index() const override {
+    return disk_.resume_index();
+  }
   void write(const service::DesignRecord& record) override;
   void checkpoint(std::size_t next) override;
   void finalize(const service::DatasetSummary& summary) override;
@@ -46,7 +45,8 @@ class StreamingManifestSink final : public service::DatasetSink {
   [[nodiscard]] std::size_t records_emitted() const { return records_; }
 
  private:
-  Options options_;
+  service::ShardedDiskSink& disk_;
+  std::string job_id_;
   Emit emit_;
   std::size_t records_ = 0;
 };

@@ -1,12 +1,12 @@
 #include "service/dataset_merge.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <system_error>
 #include <utility>
+
+#include "service/dataset_format.hpp"
 
 namespace syn::service {
 
@@ -16,25 +16,6 @@ namespace {
                              const std::string& what) {
   throw std::runtime_error("merge_dataset_parts(" + dir.generic_string() +
                            "): " + what);
-}
-
-/// The "file" field of one manifest record line. Generated paths never
-/// contain escapes (shard_NNNN/synthetic_N.v), so a plain quote scan is
-/// exact.
-std::string record_file(const std::string& line) {
-  const auto tag = line.find("\"file\":\"");
-  if (tag == std::string::npos) return {};
-  const auto start = tag + 8;
-  const auto end = line.find('"', start);
-  if (end == std::string::npos) return {};
-  return line.substr(start, end - start);
-}
-
-std::size_t record_index(const std::string& line) {
-  const auto tag = line.find("\"index\":");
-  if (tag == std::string::npos) return static_cast<std::size_t>(-1);
-  return static_cast<std::size_t>(
-      std::strtoull(line.c_str() + tag + 8, nullptr, 10));
 }
 
 /// rename(2) with a copy+remove fallback for cross-device moves (parts
@@ -76,33 +57,35 @@ std::size_t merge_dataset_parts(const std::filesystem::path& dir,
   std::vector<std::pair<std::filesystem::path, std::string>> moves;
   std::size_t records = 0;
   for (const DatasetPart& part : parts) {
-    std::ifstream in(part.dir / "manifest.jsonl");
-    if (!in) {
+    const auto lines = read_manifest_lines(part.dir);
+    if (!lines) {
       merge_fail(dir, "part " + part.dir.generic_string() +
-                          " has no manifest.jsonl");
+                          " has no manifest");
     }
     std::size_t expect = part.lo;
-    std::string line;
-    while (std::getline(in, line)) {
+    std::size_t line_no = 0;
+    for (const std::string& line : *lines) {
+      ++line_no;
       if (line.empty()) continue;
-      const std::size_t index = record_index(line);
-      if (index != expect) {
+      ManifestRecord record;
+      try {
+        record = decode_manifest_record(line);
+      } catch (const DatasetFormatError& e) {
         merge_fail(dir, "part " + part.dir.generic_string() +
-                            " record index " + std::to_string(index) +
+                            " manifest line " + std::to_string(line_no) +
+                            ": " + e.what());
+      }
+      if (record.index != expect) {
+        merge_fail(dir, "part " + part.dir.generic_string() +
+                            " record index " + std::to_string(record.index) +
                             " (expected " + std::to_string(expect) + ")");
       }
-      const std::string file = record_file(line);
-      if (file.empty()) {
-        merge_fail(dir, "part " + part.dir.generic_string() +
-                            " record " + std::to_string(index) +
-                            " has no file field");
-      }
-      if (!std::filesystem::exists(part.dir / file)) {
+      if (!std::filesystem::exists(part.dir / record.file)) {
         merge_fail(dir, "part " + part.dir.generic_string() + " is missing " +
-                            file);
+                            record.file);
       }
       manifest += line + "\n";
-      moves.emplace_back(part.dir, file);
+      moves.emplace_back(part.dir, std::move(record.file));
       ++expect;
       ++records;
     }
@@ -119,31 +102,13 @@ std::size_t merge_dataset_parts(const std::filesystem::path& dir,
     move_file(part_dir / file, to);
   }
 
-  {
-    std::ofstream out(dir / "manifest.jsonl", std::ios::trunc);
-    out << manifest;
-    out.flush();
-    if (!out) merge_fail(dir, "failed to write manifest.jsonl");
-  }
-  {
-    // Same format ShardedDiskSink::checkpoint writes, covering the full
-    // merged range — a later resubmit (or count extension) resumes from
-    // here exactly as after a single-daemon run.
-    std::ofstream out(dir / "checkpoint.txt", std::ios::trunc);
-    out << "seed=" << seed << "\nshard_size=" << shard_size
-        << "\nnext=" << (parts.empty() ? 0 : parts.back().hi) << "\n";
-    out.flush();
-    if (!out) merge_fail(dir, "failed to write checkpoint.txt");
-  }
-  {
-    // Same format as ShardedDiskSink::finalize.
-    std::ofstream out(dir / "manifest.json", std::ios::trunc);
-    out << "{\"generator\":\"" << summary.generator << "\",\"seed\":"
-        << summary.seed << ",\"count\":" << summary.count << ",\"batch\":"
-        << summary.batch << ",\"threads\":" << summary.threads
-        << ",\"shard_size\":" << shard_size
-        << ",\"designs\":\"manifest.jsonl\"}\n";
-  }
+  // The final checkpoint covers the full merged range, so a later
+  // resubmit (or count extension) resumes exactly as after a
+  // single-daemon run.
+  write_manifest_file(dir, manifest);
+  write_checkpoint_file(
+      dir, {seed, shard_size, parts.empty() ? 0 : parts.back().hi});
+  write_summary_file(dir, summary, shard_size);
 
   for (const DatasetPart& part : parts) {
     std::error_code ignored;

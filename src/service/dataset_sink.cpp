@@ -6,8 +6,6 @@
 
 #include <atomic>
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <ostream>
@@ -16,7 +14,7 @@
 #include <system_error>
 
 #include "rtl/verilog.hpp"
-#include "synth/synthesizer.hpp"
+#include "service/dataset_format.hpp"
 
 namespace syn::service {
 
@@ -129,199 +127,76 @@ void acquire_lockfile(const std::filesystem::path& path) {
                            path.generic_string());
 }
 
-/// Reads "key=value" lines; returns the checkpointed next index when the
-/// file exists and both seed and shard_size match (a different seed means
-/// a different dataset; a different shard size would scatter resumed
-/// designs across a mixed flat/sharded layout — start over either way).
-/// Checkpoints from before sharding carry no shard_size line and are
-/// treated as the flat layout they produced (shard_size 0).
-std::size_t read_checkpoint(const std::filesystem::path& path,
-                            std::uint64_t seed, std::size_t shard_size,
-                            std::ostream* log) {
-  std::ifstream in(path);
-  if (!in) return 0;
-  std::uint64_t file_seed = 0;
-  std::size_t file_shard = 0;
-  std::size_t next = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
-    if (key == "seed") file_seed = std::strtoull(value.c_str(), nullptr, 10);
-    if (key == "shard_size") {
-      file_shard = static_cast<std::size_t>(
-          std::strtoull(value.c_str(), nullptr, 10));
-    }
-    if (key == "next") {
-      next = static_cast<std::size_t>(
-          std::strtoull(value.c_str(), nullptr, 10));
-    }
-  }
-  if (file_seed != seed) {
-    if (log) {
-      *log << "checkpoint seed " << file_seed << " != seed " << seed
-           << "; ignoring checkpoint\n";
-    }
-    return 0;
-  }
-  if (file_shard != shard_size) {
-    if (log) {
-      *log << "checkpoint shard_size " << file_shard << " != shard_size "
-           << shard_size << "; ignoring checkpoint\n";
-    }
-    return 0;
-  }
-  return next;
-}
-
-/// Drops manifest records at or beyond `next`: a run interrupted between
-/// appending a group's records and committing its checkpoint replays that
-/// group on resume, and the replayed designs must not appear twice.
-void prune_manifest(const std::filesystem::path& path, std::size_t next) {
-  std::ifstream in(path);
-  if (!in) return;
-  std::string kept;
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto tag = line.find("\"index\":");
-    if (tag == std::string::npos) continue;
-    const auto index = static_cast<std::size_t>(
-        std::strtoull(line.c_str() + tag + 8, nullptr, 10));
-    if (index < next) kept += line + "\n";
-  }
-  in.close();
-  std::ofstream(path, std::ios::trunc) << kept;
-}
-
 }  // namespace
-
-std::size_t read_dataset_checkpoint(const std::filesystem::path& dir,
-                                    std::uint64_t seed,
-                                    std::size_t shard_size,
-                                    std::ostream* log) {
-  return read_checkpoint(dir / "checkpoint.txt", seed, shard_size, log);
-}
 
 ShardedDiskSink::ShardedDiskSink(Options options)
     : options_(std::move(options)) {
   std::filesystem::create_directories(options_.dir);
   lock_ = DirLock(options_.dir);
-  const auto checkpoint_path = options_.dir / "checkpoint.txt";
-  const auto manifest_path = options_.dir / "manifest.jsonl";
   if (options_.fresh) {
     // Discard BOTH files up front: a stale checkpoint surviving a crashed
     // fresh run would make the next invocation believe the (discarded)
     // dataset is complete.
-    std::filesystem::remove(manifest_path);
-    std::filesystem::remove(checkpoint_path);
+    remove_progress_files(options_.dir);
     return;
   }
-  resume_ = read_checkpoint(checkpoint_path, options_.seed,
-                            options_.shard_size, options_.log);
+  ResumeState state =
+      read_resume_state(options_.dir, options_.seed, options_.shard_size);
+  resume_ = state.next;
+  resume_note_ = std::move(state.note);
+  if (options_.log && !resume_note_.empty()) {
+    *options_.log << resume_note_ << "\n";
+  }
   // Prune manifest records the coming run will regenerate: replays of the
   // partially-committed last group on resume, or — when the checkpoint
-  // seed mismatched (resume_ == 0) — the whole stale manifest.
-  prune_manifest(manifest_path, resume_);
+  // was ignored (resume_ == 0) — the whole stale manifest.
+  if (state.prune) {
+    write_manifest_file(options_.dir, state.manifest);
+  }
 }
 
 ShardedDiskSink::~ShardedDiskSink() = default;
 
 std::filesystem::path ShardedDiskSink::shard_dir(std::size_t index) const {
-  if (options_.shard_size == 0) return {};
-  char name[16];
-  std::snprintf(name, sizeof(name), "shard_%04zu",
-                index / options_.shard_size);
-  return name;
+  return shard_path(index, options_.shard_size);
 }
 
 void ShardedDiskSink::write(const DesignRecord& record) {
-  const std::filesystem::path shard = shard_dir(record.index);
-  if (!shard.empty()) {
-    std::filesystem::create_directories(options_.dir / shard);
-  }
-  const graph::Graph& g = record.graph;
-  const std::filesystem::path rel = shard / (g.name() + ".v");
-  const std::filesystem::path path = options_.dir / rel;
+  const ManifestRecord entry = make_manifest_record(
+      record, options_.shard_size, options_.with_synth_stats);
+  const std::filesystem::path path = options_.dir / entry.file;
+  std::filesystem::create_directories(path.parent_path());
   {
     std::ofstream design(path);
-    design << rtl::to_verilog(g);
+    design << rtl::to_verilog(record.graph);
     design.flush();
     if (!design) {
       throw std::runtime_error("ShardedDiskSink: failed to write " +
                                path.generic_string());
     }
   }
-
-  std::ofstream manifest(options_.dir / "manifest.jsonl", std::ios::app);
-  manifest << "{\"index\":" << record.index << ",\"file\":\""
-           << rel.generic_string() << "\",\"chain_seed\":"
-           << record.chain_seed << ",\"nodes\":" << g.num_nodes()
-           << ",\"edges\":" << g.num_edges();
-  if (options_.with_synth_stats) {
-    const auto stats = synth::synthesize_stats(g);
-    manifest << ",\"gates\":" << stats.gates_final << ",\"scpr\":"
-             << stats.scpr() << ",\"pcs\":" << stats.pcs();
-    if (options_.log) {
-      *options_.log << path.generic_string() << ": " << g.num_nodes()
-                    << " nodes, " << stats.gates_final << " gates, SCPR "
-                    << static_cast<int>(stats.scpr() * 100) << "%\n";
-    }
-  } else if (options_.log) {
-    *options_.log << path.generic_string() << ": " << g.num_nodes()
-                  << " nodes, " << g.num_edges() << " edges\n";
-  }
-  manifest << "}\n";
-  manifest.flush();
-  if (!manifest) {
-    throw std::runtime_error(
-        "ShardedDiskSink: failed to append manifest record for " +
-        path.generic_string());
+  last_record_ = encode_manifest_record(entry);
+  append_manifest_line(options_.dir, dump_manifest_json(last_record_));
+  if (options_.log == nullptr) return;
+  *options_.log << path.generic_string() << ": " << entry.nodes << " nodes, ";
+  if (entry.synth) {
+    *options_.log << entry.synth->gates << " gates, SCPR "
+                  << static_cast<int>(entry.synth->scpr * 100) << "%\n";
+  } else {
+    *options_.log << entry.edges << " edges\n";
   }
 }
 
 void ShardedDiskSink::checkpoint(std::size_t next) {
-  // A checkpoint that fails to land must abort the run: advancing past
-  // unwritten state would make a later resume silently skip designs.
-  const auto path = options_.dir / "checkpoint.txt";
-  std::ofstream out(path, std::ios::trunc);
-  out << "seed=" << options_.seed << "\nshard_size=" << options_.shard_size
-      << "\nnext=" << next << "\n";
-  out.flush();
-  if (!out) {
-    throw std::runtime_error("ShardedDiskSink: failed to write " +
-                             path.generic_string());
-  }
+  // A checkpoint that fails to land must abort the run (it throws):
+  // advancing past unwritten state would make a later resume silently
+  // skip designs.
+  write_checkpoint_file(options_.dir,
+                        {options_.seed, options_.shard_size, next});
 }
 
 void ShardedDiskSink::finalize(const DatasetSummary& summary) {
-  std::ofstream out(options_.dir / "manifest.json", std::ios::trunc);
-  out << "{\"generator\":\"" << summary.generator << "\",\"seed\":"
-      << summary.seed << ",\"count\":" << summary.count << ",\"batch\":"
-      << summary.batch << ",\"threads\":" << summary.threads
-      << ",\"shard_size\":" << options_.shard_size
-      << ",\"designs\":\"manifest.jsonl\"}\n";
-}
-
-TeeSink& TeeSink::add(DatasetSink& mirror) {
-  mirrors_.push_back(&mirror);
-  return *this;
-}
-
-void TeeSink::write(const DesignRecord& record) {
-  primary_->write(record);
-  for (DatasetSink* mirror : mirrors_) mirror->write(record);
-}
-
-void TeeSink::checkpoint(std::size_t next) {
-  primary_->checkpoint(next);
-  for (DatasetSink* mirror : mirrors_) mirror->checkpoint(next);
-}
-
-void TeeSink::finalize(const DatasetSummary& summary) {
-  primary_->finalize(summary);
-  for (DatasetSink* mirror : mirrors_) mirror->finalize(summary);
+  write_summary_file(options_.dir, summary, options_.shard_size);
 }
 
 void MemorySink::write(const DesignRecord& record) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "graph/dcg.hpp"
+#include "util/json.hpp"
 
 namespace syn::service {
 
@@ -43,15 +44,6 @@ class DirLock {
   std::filesystem::path dir_;
   bool held_ = false;
 };
-
-/// Reads `dir`/checkpoint.txt: the first index a resuming run still needs
-/// to produce, honoured only when the checkpoint's seed and shard_size
-/// match (a different seed is a different dataset; a different shard size
-/// would scatter resumed designs across a mixed layout). 0 when missing
-/// or mismatched.
-[[nodiscard]] std::size_t read_dataset_checkpoint(
-    const std::filesystem::path& dir, std::uint64_t seed,
-    std::size_t shard_size, std::ostream* log = nullptr);
 
 /// One finished design as it travels producer -> queue -> sink.
 struct DesignRecord {
@@ -93,20 +85,22 @@ class DatasetSink {
   virtual void finalize(const DatasetSummary& summary) = 0;
 };
 
-/// Disk sink with sharded output layout:
+/// Disk sink writing the dataset layout of service/dataset_format.hpp:
 ///
 ///   DIR/shard_0000/synthetic_0.v ... (shard_size designs per shard dir)
 ///   DIR/manifest.jsonl   one JSON record per design (appended per write)
-///   DIR/checkpoint.txt   (seed, next) — rewritten by checkpoint()
+///   DIR/checkpoint.txt   (seed, shard_size, next) — rewritten by
+///                        checkpoint()
 ///   DIR/manifest.json    run summary — written by finalize()
 ///   DIR/.lock            advisory lockfile (pid) held for the sink's
 ///                        lifetime — see below
 ///
-/// Resume semantics match the pre-service generate_dataset driver: the
-/// checkpoint is honoured only when its seed matches (a different seed
-/// means a different dataset), and manifest records at or beyond the
-/// resume index are pruned at construction so replayed designs never
-/// appear twice.
+/// Resume: the checkpoint is honoured only when its seed and shard_size
+/// match, and its next is lowered to the first index whose manifest
+/// record or design file is missing (read_resume_state). Manifest records
+/// at or beyond the resume index are pruned at construction so replayed
+/// designs never appear twice. A malformed checkpoint throws
+/// DatasetFormatError.
 ///
 /// Ownership: the sink assumes exclusive use of the output directory.
 /// Construction takes an advisory lock (`.lock` holding the owner pid,
@@ -150,36 +144,20 @@ class ShardedDiskSink final : public DatasetSink {
   /// sharding is off.
   [[nodiscard]] std::filesystem::path shard_dir(std::size_t index) const;
 
+  /// The manifest record the last write() appended, as encoded on disk.
+  [[nodiscard]] const util::Json& last_record() const { return last_record_; }
+
+  /// Why resume_index() differs from the checkpoint's next (an ignored
+  /// checkpoint, or a missing record or design file); empty when it does
+  /// not. Also written to Options::log.
+  [[nodiscard]] const std::string& resume_note() const { return resume_note_; }
+
  private:
   Options options_;
   std::size_t resume_ = 0;
+  std::string resume_note_;
+  util::Json last_record_;
   DirLock lock_;
-};
-
-/// Fans one generation stream out to several sinks — e.g. disk plus a
-/// live manifest stream back to a daemon client, or disk plus a
-/// compressing mirror. The primary sink owns the durable checkpoint, so
-/// it alone drives resume; mirrors see the same write/checkpoint/finalize
-/// sequence and must tolerate a stream that starts at the primary's
-/// resume index rather than 0. Sinks are borrowed, not owned, and must
-/// outlive the tee.
-class TeeSink final : public DatasetSink {
- public:
-  explicit TeeSink(DatasetSink& primary) : primary_(&primary) {}
-
-  /// Registers a mirror; returns *this for chaining.
-  TeeSink& add(DatasetSink& mirror);
-
-  [[nodiscard]] std::size_t resume_index() const override {
-    return primary_->resume_index();
-  }
-  void write(const DesignRecord& record) override;
-  void checkpoint(std::size_t next) override;
-  void finalize(const DatasetSummary& summary) override;
-
- private:
-  DatasetSink* primary_;
-  std::vector<DatasetSink*> mirrors_;
 };
 
 /// In-memory sink for tests and embedded consumers: keeps every record,

@@ -328,11 +328,14 @@ void dump_string(const std::string& s, std::string& out) {
   out.push_back('"');
 }
 
-void dump_double(double d, std::string& out) {
-  // max_digits10 guarantees parse(dump(x)) == x for every finite double.
+void dump_double(double d, int digits, std::string& out) {
+  // Shortest round-trip form guarantees parse(dump(x)) == x for every
+  // finite double; a fixed digit count is printf("%.<digits>g").
   std::array<char, 32> buf{};
   const auto [ptr, ec] =
-      std::to_chars(buf.data(), buf.data() + buf.size(), d);
+      digits > 0 ? std::to_chars(buf.data(), buf.data() + buf.size(), d,
+                                 std::chars_format::general, digits)
+                 : std::to_chars(buf.data(), buf.data() + buf.size(), d);
   if (ec == std::errc()) {
     out.append(buf.data(), ptr);
   } else {
@@ -346,22 +349,24 @@ Json Json::parse(std::string_view text) {
   return Parser(text).parse_document();
 }
 
-std::string Json::dump() const {
+std::string Json::dump() const { return dump(0); }
+
+std::string Json::dump(int double_digits) const {
   std::string out;
-  dump_to(out);
+  dump_to(out, double_digits);
   return out;
 }
 
-void Json::dump_to(std::string& out) const {
+void Json::dump_to(std::string& out, int double_digits) const {
   std::visit(
-      [&out](const auto& value) {
+      [&out, double_digits](const auto& value) {
         using T = std::decay_t<decltype(value)>;
         if constexpr (std::is_same_v<T, std::nullptr_t>) {
           out += "null";
         } else if constexpr (std::is_same_v<T, bool>) {
           out += value ? "true" : "false";
         } else if constexpr (std::is_same_v<T, double>) {
-          dump_double(value, out);
+          dump_double(value, double_digits, out);
         } else if constexpr (std::is_same_v<T, std::int64_t> ||
                              std::is_same_v<T, std::uint64_t>) {
           out += std::to_string(value);
@@ -373,7 +378,7 @@ void Json::dump_to(std::string& out) const {
           for (const Json& item : value) {
             if (!first) out.push_back(',');
             first = false;
-            item.dump_to(out);
+            item.dump_to(out, double_digits);
           }
           out.push_back(']');
         } else {
@@ -384,7 +389,7 @@ void Json::dump_to(std::string& out) const {
             first = false;
             dump_string(key, out);
             out.push_back(':');
-            item.dump_to(out);
+            item.dump_to(out, double_digits);
           }
           out.push_back('}');
         }

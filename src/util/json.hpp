@@ -53,6 +53,10 @@ class Json {
   /// Compact single-line serialization (no spaces, keys in insertion
   /// order) — one dump() per protocol line.
   [[nodiscard]] std::string dump() const;
+  /// dump(), but every double is written as printf("%.<double_digits>g")
+  /// (1-17 significant digits) instead of its shortest round-trip form
+  /// (0 = shortest round-trip).
+  [[nodiscard]] std::string dump(int double_digits) const;
 
   [[nodiscard]] bool is_null() const {
     return std::holds_alternative<std::nullptr_t>(value_);
@@ -100,7 +104,7 @@ class Json {
   friend bool operator==(const Json& a, const Json& b);
 
  private:
-  void dump_to(std::string& out) const;
+  void dump_to(std::string& out, int double_digits) const;
 
   std::variant<std::nullptr_t, bool, double, std::int64_t, std::uint64_t,
                std::string, JsonArray, JsonObject>

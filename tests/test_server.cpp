@@ -1,8 +1,9 @@
-// Server tier: protocol round-trips, the fair-share JobScheduler, sink
-// fan-out (TeeSink + StreamingManifestSink), the ShardedDiskSink
-// lockfile, GenerationService progress/cancel, and the daemon end to end
-// over a real Unix socket. Part of the TSan CI tier — the scheduler, the
-// event logs and the per-connection threads are its concurrency surface.
+// Server tier: protocol round-trips, the fair-share JobScheduler, the
+// STREAM decorator (StreamingManifestSink over ShardedDiskSink), the
+// ShardedDiskSink lockfile, GenerationService progress/cancel, and the
+// daemon end to end over a real Unix socket. Part of the TSan CI tier —
+// the scheduler, the event logs and the per-connection threads are its
+// concurrency surface.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -31,8 +32,10 @@
 #include "server/protocol.hpp"
 #include "server/scheduler.hpp"
 #include "server/stream_sink.hpp"
+#include "service/dataset_format.hpp"
 #include "service/dataset_sink.hpp"
 #include "service/generation_service.hpp"
+#include "synth/synthesizer.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -52,7 +55,6 @@ using service::DesignRecord;
 using service::GenerationService;
 using service::MemorySink;
 using service::ShardedDiskSink;
-using service::TeeSink;
 using util::Json;
 
 // ---------------------------------------------------------------- protocol
@@ -149,7 +151,7 @@ TEST(Protocol, RejectsMalformedRequests) {
   EXPECT_THROW(
       server::parse_request(R"({"cmd":"stream","id":"j","filter":"bogus"})"),
       server::ProtocolError);  // unknown stream filter
-  EXPECT_THROW(server::stream_filter_from_string("Records"),
+  EXPECT_THROW((void)server::stream_filter_from_string("Records"),
                server::ProtocolError);  // case-sensitive
 }
 
@@ -346,40 +348,72 @@ graph::Graph tiny_valid_graph(std::uint64_t seed) {
   return core::repair_to_valid(attrs, gini, probs, rng);
 }
 
-TEST(TeeSink, FansOutToEverySinkAndResumesFromPrimary) {
-  struct ResumingSink : MemorySink {
-    [[nodiscard]] std::size_t resume_index() const override { return 3; }
-  };
-  ResumingSink primary;
-  MemorySink mirror_a, mirror_b;
-  TeeSink tee(primary);
-  tee.add(mirror_a).add(mirror_b);
+/// A scratch dataset dir for the tests that need a real disk sink,
+/// removed on destruction.
+struct ScratchDir {
+  explicit ScratchDir(const std::string& name)
+      : path(std::filesystem::path(::testing::TempDir()) /
+             ("syn_server_" + std::to_string(::getpid()) + "_" + name)) {
+    std::filesystem::remove_all(path);
+  }
+  ~ScratchDir() { std::filesystem::remove_all(path); }
+  std::filesystem::path path;
+};
 
-  EXPECT_EQ(tee.resume_index(), 3u);  // primary decides, mirrors don't veto
+TEST(StreamingManifestSink, ForwardsEveryCallToTheDiskSinkAndResumesFromIt) {
+  const ScratchDir dir("forwards");
+  {
+    ShardedDiskSink first({.dir = dir.path, .seed = 9, .shard_size = 2,
+                           .with_synth_stats = false});
+    for (std::size_t i = 0; i < 3; ++i) {
+      DesignRecord record{.index = i, .chain_seed = i,
+                          .graph = tiny_valid_graph(i)};
+      record.graph.set_name("synthetic_" + std::to_string(i));
+      first.write(record);
+    }
+    first.checkpoint(3);
+  }
+  ShardedDiskSink disk({.dir = dir.path, .seed = 9, .shard_size = 2,
+                        .with_synth_stats = false});
+  std::vector<std::string> lines;
+  StreamingManifestSink stream(
+      disk, "job-3",
+      [&](std::string line) { lines.push_back(std::move(line)); });
+
+  EXPECT_EQ(stream.resume_index(), 3u);  // the disk sink decides
 
   DesignRecord record{.index = 3, .chain_seed = 9,
                       .graph = tiny_valid_graph(1)};
   record.graph.set_name("synthetic_3");
-  tee.write(record);
-  tee.checkpoint(4);
-  tee.finalize({.generator = "Stub", .seed = 9, .count = 4});
+  stream.write(record);
+  stream.checkpoint(4);
+  stream.finalize({.generator = "Stub", .seed = 9, .count = 4});
 
-  for (const MemorySink* sink :
-       {static_cast<const MemorySink*>(&primary),
-        static_cast<const MemorySink*>(&mirror_a),
-        static_cast<const MemorySink*>(&mirror_b)}) {
-    ASSERT_EQ(sink->records().size(), 1u);
-    EXPECT_EQ(sink->records()[0].index, 3u);
-    EXPECT_EQ(sink->checkpointed(), 4u);
-    EXPECT_TRUE(sink->finalized());
-    EXPECT_EQ(sink->summary().generator, "Stub");
-  }
+  EXPECT_TRUE(std::filesystem::exists(dir.path / "shard_0001/synthetic_3.v"));
+  std::ifstream manifest(dir.path / "manifest.jsonl");
+  std::string line;
+  std::size_t records = 0;
+  while (std::getline(manifest, line)) ++records;
+  EXPECT_EQ(records, 4u);
+  std::ifstream checkpoint(dir.path / "checkpoint.txt");
+  std::stringstream buffer;
+  buffer << checkpoint.rdbuf();
+  EXPECT_EQ(buffer.str(), "seed=9\nshard_size=2\nnext=4\n");
+  EXPECT_TRUE(std::filesystem::exists(dir.path / "manifest.json"));
+
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(Json::parse(lines[0]).at("index").u64(), 3u);
+  EXPECT_EQ(Json::parse(lines[1]).at("next").u64(), 4u);
+  EXPECT_EQ(Json::parse(lines[2]).at("generator").str(), "Stub");
 }
 
 TEST(StreamingManifestSink, EmitsOneParsableEventPerRecord) {
+  const ScratchDir dir("emits");
+  ShardedDiskSink disk({.dir = dir.path, .seed = 5, .shard_size = 2,
+                        .with_synth_stats = false});
   std::vector<std::string> lines;
   StreamingManifestSink sink(
-      {.job_id = "job-9", .shard_size = 2, .with_synth_stats = false},
+      disk, "job-9",
       [&](std::string line) { lines.push_back(std::move(line)); });
 
   for (std::size_t i = 0; i < 3; ++i) {
@@ -691,6 +725,41 @@ TEST_F(DaemonTest, SubmitStreamStatusEndToEnd) {
   // Unknown ids are protocol errors, not crashes.
   EXPECT_THROW(conn.status("job-99"), std::runtime_error);
   EXPECT_THROW(conn.cancel("job-99"), std::runtime_error);
+}
+
+TEST_F(DaemonTest, SynthesizesEachDesignOnceAndStreamsItsManifestLine) {
+  synth::reset_synthesis_cache();
+  const auto socket = socket_path();
+  RunningDaemon daemon(stub_config(socket));
+
+  auto conn = ClientConnection::connect_unix(socket);
+  JobSpec spec = stub_spec(6, 19);
+  spec.synth_stats = true;
+  const std::string id = conn.submit(spec, "tester");
+  std::vector<Json> records;
+  const std::string state = conn.stream(id, [&](const Json& event) {
+    if (event.at("event").str() == "record") records.push_back(event);
+  });
+  ASSERT_EQ(state, "done");
+
+  // The disk sink's synthesis is the only one: no second lookup.
+  const auto cache = synth::synthesis_cache_stats();
+  EXPECT_EQ(cache.misses, 6u);
+  EXPECT_EQ(cache.hits, 0u);
+
+  // Each STREAM record is {"event":"record","id":…} followed by the
+  // fields of its manifest.jsonl line, numbers included.
+  std::ifstream manifest(dir_ / "manifest.jsonl");
+  std::string line;
+  std::size_t i = 0;
+  while (std::getline(manifest, line)) {
+    ASSERT_LT(i, records.size());
+    EXPECT_EQ(service::dump_manifest_json(records[i]),
+              R"({"event":"record","id":")" + id + "\"," + line.substr(1));
+    ++i;
+  }
+  EXPECT_EQ(i, 6u);
+  EXPECT_EQ(records.size(), 6u);
 }
 
 TEST_F(DaemonTest, RestartedDaemonResumesFromCheckpoint) {

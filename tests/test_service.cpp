@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -21,9 +22,11 @@
 #include "graph/validity.hpp"
 #include "nn/matrix.hpp"
 #include "rtl/generators.hpp"
+#include "service/dataset_format.hpp"
 #include "service/dataset_sink.hpp"
 #include "service/generation_service.hpp"
 #include "util/bounded_queue.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 namespace syn {
@@ -276,6 +279,45 @@ class ShardedDiskSinkTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
+  /// Every file under `dir` (relative path -> bytes), lockfile excluded.
+  static std::map<std::string, std::string> dataset_files(
+      const std::filesystem::path& dir) {
+    std::map<std::string, std::string> files;
+    for (const auto& entry :
+         std::filesystem::recursive_directory_iterator(dir)) {
+      if (!entry.is_regular_file() || entry.path().filename() == ".lock") {
+        continue;
+      }
+      std::ifstream in(entry.path());
+      std::stringstream bytes;
+      bytes << in.rdbuf();
+      files[std::filesystem::relative(entry.path(), dir).generic_string()] =
+          bytes.str();
+    }
+    return files;
+  }
+
+  /// Generates `count` designs of dataset `seed` into `dir` (resuming
+  /// whatever is there); returns the designs this run produced.
+  static std::size_t generate(const std::filesystem::path& dir,
+                              std::size_t count, std::uint64_t seed) {
+    StubModel model;
+    const auto sampler = corpus_sampler();
+    ShardedDiskSink sink({.dir = dir, .seed = seed, .shard_size = 2});
+    GenerationService svc(model, {.batch = {.batch = 2, .threads = 1}});
+    return svc.run(small_job(count, seed, sampler), sink).produced;
+  }
+
+  /// dir_ must hold exactly the bytes of a fresh `count`-design run.
+  void expect_matches_fresh_run(std::size_t count, std::uint64_t seed) {
+    const auto fresh_dir =
+        dir_.parent_path() / (dir_.filename().string() + "_fresh");
+    std::filesystem::remove_all(fresh_dir);
+    EXPECT_EQ(generate(fresh_dir, count, seed), count);
+    EXPECT_EQ(dataset_files(dir_), dataset_files(fresh_dir));
+    std::filesystem::remove_all(fresh_dir);
+  }
+
   static std::size_t manifest_lines(const std::filesystem::path& dir) {
     std::ifstream in(dir / "manifest.jsonl");
     std::string line;
@@ -431,6 +473,110 @@ TEST_F(ShardedDiskSinkTest, FlatLayoutWhenShardingDisabled) {
   EXPECT_TRUE(std::filesystem::exists(dir_ / "synthetic_0.v"));
   EXPECT_TRUE(std::filesystem::exists(dir_ / "synthetic_2.v"));
   EXPECT_FALSE(std::filesystem::exists(dir_ / "shard_0000"));
+}
+
+TEST_F(ShardedDiskSinkTest, CheckpointPastTheManifestResumesAtTheGap) {
+  const std::uint64_t seed = 23;
+  ASSERT_EQ(generate(dir_, 6, seed), 6u);
+  // A checkpoint claiming 8 designs over a manifest holding 6 must not
+  // report "all done": resume lowers to the first missing record.
+  std::ofstream(dir_ / "checkpoint.txt", std::ios::trunc)
+      << "seed=23\nshard_size=2\nnext=8\n";
+  {
+    std::ostringstream log;
+    ShardedDiskSink sink(
+        {.dir = dir_, .seed = seed, .shard_size = 2, .log = &log});
+    EXPECT_EQ(sink.resume_index(), 6u);
+    EXPECT_NE(sink.resume_note().find("resuming at 6"), std::string::npos)
+        << sink.resume_note();
+    EXPECT_NE(log.str().find(sink.resume_note()), std::string::npos);
+  }
+  EXPECT_EQ(generate(dir_, 8, seed), 2u);
+  expect_matches_fresh_run(8, seed);
+}
+
+TEST_F(ShardedDiskSinkTest, DeletedDesignFileIsRegeneratedOnResume) {
+  const std::uint64_t seed = 29;
+  ASSERT_EQ(generate(dir_, 6, seed), 6u);
+  std::filesystem::remove(dir_ / "shard_0001/synthetic_3.v");
+  {
+    ShardedDiskSink sink({.dir = dir_, .seed = seed, .shard_size = 2});
+    EXPECT_EQ(sink.resume_index(), 3u);
+    EXPECT_NE(sink.resume_note().find("shard_0001/synthetic_3.v"),
+              std::string::npos)
+        << sink.resume_note();
+    EXPECT_EQ(manifest_lines(dir_), 3u);  // records 3.. pruned
+  }
+  EXPECT_EQ(generate(dir_, 6, seed), 3u);
+  expect_matches_fresh_run(6, seed);
+}
+
+TEST_F(ShardedDiskSinkTest, MalformedCheckpointIsATypedError) {
+  ASSERT_EQ(generate(dir_, 3, 31), 3u);
+  for (const char* bad : {"seed=31\nshard_size=2\nnext=abc\n",
+                          "seed=31\nshard_size=2\nnext=-1\n",
+                          "seed=31\nshard_size=2\n",
+                          "seed=31\nshard_size=2\nnext=3\nbogus\n"}) {
+    std::ofstream(dir_ / "checkpoint.txt", std::ios::trunc) << bad;
+    try {
+      ShardedDiskSink sink({.dir = dir_, .seed = 31, .shard_size = 2});
+      ADD_FAILURE() << "accepted checkpoint " << bad;
+    } catch (const service::DatasetFormatError& e) {
+      EXPECT_NE(std::string(e.what()).find("checkpoint.txt"),
+                std::string::npos)
+          << e.what();
+    }
+    // The manifest is left alone rather than pruned to nothing.
+    EXPECT_EQ(manifest_lines(dir_), 3u) << bad;
+  }
+}
+
+TEST(DatasetFormat, ManifestNumbersKeepTheirSixDigitForm) {
+  // The manifests have always carried ostream's default "%g" form, which
+  // differs from the shortest round-trip form (1e-04, 1e+05, 1234570).
+  for (const double value :
+       {0.1, 1e-4, 0.000123456789, 1e5, 1234567.0, 2.0 / 3.0,
+        0.1 + 0.2, 0.0, 12.5, 1e-7, 123456.5}) {
+    std::ostringstream expected;
+    expected << value;
+    EXPECT_EQ(service::dump_manifest_json(util::Json(value)),
+              expected.str());
+  }
+}
+
+TEST(DatasetFormat, ManifestRecordRoundTripsAndRejectsBadFields) {
+  service::ManifestRecord record;
+  record.index = 7;
+  record.file = "shard_0003/synthetic_7.v";
+  record.chain_seed = 18446744073709551615ULL;
+  record.nodes = 60;
+  record.edges = 91;
+  record.synth = service::ManifestRecord::Synth{40, 0.25, 1.5};
+  const std::string line = service::dump_manifest_json(
+      service::encode_manifest_record(record));
+  EXPECT_EQ(line,
+            R"({"index":7,"file":"shard_0003/synthetic_7.v",)"
+            R"("chain_seed":18446744073709551615,"nodes":60,"edges":91,)"
+            R"("gates":40,"scpr":0.25,"pcs":1.5})");
+  const service::ManifestRecord back = service::decode_manifest_record(line);
+  EXPECT_EQ(back.index, 7u);
+  EXPECT_EQ(back.file, record.file);
+  EXPECT_EQ(back.chain_seed, record.chain_seed);
+  ASSERT_TRUE(back.synth.has_value());
+  EXPECT_EQ(back.synth->gates, 40u);
+  EXPECT_EQ(back.synth->pcs, 1.5);
+
+  for (const char* bad :
+       {R"({"file":"a.v","chain_seed":1,"nodes":1,"edges":0})",
+        R"({"index":"0","file":"a.v","chain_seed":1,"nodes":1,"edges":0})",
+        R"({"index":0,"file":"../a.v","chain_seed":1,"nodes":1,"edges":0})",
+        R"({"index":0,"file":"a.v","chain_seed":1,"nodes":1,"edges":0,)"
+        R"("gates":3})",
+        R"({"index":0,"file":"a.v")", "[1]"}) {
+    EXPECT_THROW((void)service::decode_manifest_record(bad),
+                 service::DatasetFormatError)
+        << bad;
+  }
 }
 
 }  // namespace
