@@ -24,9 +24,7 @@
 #include "mcts/mcts.hpp"
 #include "nn/simd.hpp"
 #include "rtl/generators.hpp"
-#include "server/metrics.hpp"
-#include "service/dataset_sink.hpp"
-#include "service/generation_service.hpp"
+#include "server/daemon.hpp"
 #include "sta/sta.hpp"
 #include "synth/bitblast.hpp"
 #include "synth/passes.hpp"
@@ -252,27 +250,21 @@ BENCHMARK(BM_PcsFeatures);
 using testsupport::observability_reward;
 using testsupport::redundant_circuit;
 
-/// Root-parallel Phase 3 scaling: Arg = executor threads; the work
-/// decomposition (8 trees, fixed budget) is thread-invariant, so this
-/// measures pure executor scaling on a fixed search. Real time, since
-/// the work happens on pool workers.
+/// Phase 3 at the production MCTS config (one UCB1 tree per cone) on an
+/// 80-node design with the cheap exact observability reward, so the row is
+/// mostly search self time — the kernel behind e2ebench's
+/// mcts.optimize_self_ms_per_design.
 void BM_MctsOptimizeRegisters(benchmark::State& state) {
-  const auto start = redundant_circuit(48, 7);
-  mcts::MctsConfig cfg;
-  cfg.simulations = 160;
-  cfg.max_depth = 8;
-  cfg.actions_per_state = 10;
-  cfg.max_registers = 4;
-  cfg.passes = 1;
-  cfg.root_trees = 8;
-  cfg.threads = static_cast<int>(state.range(0));
+  const auto start = redundant_circuit(80, 7);
+  const mcts::MctsConfig cfg =
+      server::default_backend_config().syncircuit.mcts;
   for (auto _ : state) {
     util::Rng rng(11);
     benchmark::DoNotOptimize(
         mcts::optimize_registers(start, cfg, observability_reward, rng));
   }
 }
-BENCHMARK(BM_MctsOptimizeRegisters)->Arg(1)->Arg(2)->Arg(8)->UseRealTime();
+BENCHMARK(BM_MctsOptimizeRegisters);
 
 /// One fitted instance per backend name, built through the core registry
 /// with a deliberately small, uniform training budget — the benchmark
@@ -300,13 +292,11 @@ core::GeneratorModel& fitted_backend(const std::string& name) {
 }
 
 /// Batch-first generation throughput per backend: 8 designs per
-/// iteration through generate_batch (batch 4, single thread on the 1-CPU
-/// recording machine — the thread axis is covered by
-/// BM_MctsOptimizeRegisters). items_per_second is the comparable
-/// counter; outputs are invariant to the batch/thread shape, so rows
-/// measure pure driver + model throughput. SynCircuit uses its packed
-/// diffusion override; the four baselines run the inherited
-/// ThreadPool-sharded default.
+/// iteration through generate_batch (batch 4, single thread).
+/// items_per_second is the comparable counter; outputs are invariant to
+/// the batch/thread shape, so rows measure pure driver + model
+/// throughput. SynCircuit uses its packed diffusion override; the four
+/// baselines run the inherited ThreadPool-sharded default.
 void BM_GenerateBatch(benchmark::State& state, const char* backend) {
   auto& model = fitted_backend(backend);
   constexpr std::size_t kItems = 8;
@@ -369,68 +359,6 @@ void BM_DiscriminatorScore(benchmark::State& state) {
   state.SetLabel(nn::active_simd_level_name());
 }
 BENCHMARK(BM_DiscriminatorScore)->Arg(1)->Arg(8)->Arg(32);
-
-/// End-to-end dataset service throughput: 8 designs per iteration pumped
-/// through GenerationService (producer generate_batch -> bounded queue ->
-/// sink consumer thread) into a memory sink. Compare against
-/// BM_GenerateBatch/graphrnn — the delta is the whole service layer
-/// (queue handoff, validity check, per-group checkpointing, thread
-/// spin-up), which should stay a small fraction of generation itself.
-void BM_ServiceThroughput(benchmark::State& state) {
-  auto& model = fitted_backend("graphrnn");
-  constexpr std::size_t kItems = 8;
-  core::AttrSampler sampler;
-  sampler.fit({rtl::make_counter(4), rtl::make_fifo_ctrl(2),
-               rtl::make_fsm(2, 2)});
-  service::GenerationService svc(
-      model, {.batch = {.batch = 4, .threads = 1}, .queue_capacity = 8});
-  const service::GenerationJob job{
-      .count = kItems, .seed = 17,
-      .attrs = [&sampler](std::size_t, util::Rng& rng) {
-        return sampler.sample(20, rng);
-      }};
-  for (auto _ : state) {
-    service::MemorySink sink;
-    benchmark::DoNotOptimize(svc.run(job, sink));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kItems));
-}
-BENCHMARK(BM_ServiceThroughput);
-
-/// METRICS snapshot cost at daemon-like registry population (the counters,
-/// gauges and latency tracks the daemon registers, with Arg observations
-/// spread across the tracks). The snapshot runs on the request path of
-/// every `synctl metrics` poll, so it must stay cheap and — more
-/// importantly — hold the registry's leaf lock briefly: inc()/observe()
-/// on job threads block behind it.
-void BM_MetricsSnapshot(benchmark::State& state) {
-  server::MetricsRegistry registry;
-  static std::int64_t gauge_source = 0;
-  for (const char* name : {"requests", "submit_accepted", "submit_rejected",
-                           "stream_events", "records_streamed",
-                           "designs_committed", "jobs_expired"}) {
-    registry.inc(name, 1000);
-  }
-  for (const char* name : {"connections", "event_logs", "event_log_lines",
-                           "tracked_specs", "terminal_retained",
-                           "expired_ring"}) {
-    registry.register_gauge(name, [] { return ++gauge_source; });
-  }
-  registry.declare_track("dispatch_ms", 0.0, 5000.0, 500);
-  registry.declare_track("job_ms", 0.0, 300000.0, 600);
-  registry.declare_track("group_commit_ms", 0.0, 30000.0, 300);
-  util::Rng rng(6);
-  for (std::int64_t i = 0; i < state.range(0); ++i) {
-    registry.observe("dispatch_ms", rng.uniform() * 50.0);
-    registry.observe("job_ms", rng.uniform() * 2000.0);
-    registry.observe("group_commit_ms", rng.uniform() * 100.0);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(registry.snapshot());
-  }
-}
-BENCHMARK(BM_MetricsSnapshot)->Arg(100)->Arg(10000);
 
 }  // namespace
 

@@ -4,17 +4,19 @@
 //   syncircuit_cli gen   [count] [nodes] [seed]   generate Verilog designs
 //       [--backend=NAME]   generator backend (syncircuit, graphrnn, dvae,
 //                          graphmaker, sparsedigress — via core registry)
-//       [--threads=N]      MCTS executor width (output is N-invariant)
-//       [--trees=N]        root-parallel trees per cone (affects output)
-//       [--reward-batch=N] graphs per discriminator forward pass
+//       [--threads=N]      designs generated in parallel (output is
+//                          N-invariant)
 //   syncircuit_cli stats <file.v>                 structural statistics
 //   syncircuit_cli synth <file.v>                 synthesis + timing report
 //   syncircuit_cli dot   <file.v>                 Graphviz DOT to stdout
 //   syncircuit_cli corpus                         dump the built-in corpus
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,7 +31,9 @@
 #include "stats/scalefree.hpp"
 #include "synth/synthesizer.hpp"
 #include "util/flags.hpp"
+#include "util/rng.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -45,10 +49,7 @@ graph::Graph load_verilog(const std::string& path) {
 
 struct GenOptions {
   std::string backend = "syncircuit";  // any name the core registry knows
-  int threads = 1;       // executor width only — never changes the output
-  int trees = 8;         // root-parallel trees (fixed: output is stable
-                         // whatever --threads is)
-  int reward_batch = 16;  // discriminator graphs per forward pass
+  int threads = 1;  // generate_batch pool width — never changes the output
 };
 
 int cmd_gen(int count, std::size_t nodes, std::uint64_t seed,
@@ -61,9 +62,6 @@ int cmd_gen(int count, std::size_t nodes, std::uint64_t seed,
   config.syncircuit.diffusion.epochs = 10;
   config.syncircuit.mcts = {.simulations = 60, .max_depth = 10,
                             .actions_per_state = 10, .max_registers = 8};
-  config.syncircuit.mcts.root_trees = opts.trees;
-  config.syncircuit.mcts.threads = opts.threads;
-  config.syncircuit.mcts.reward_batch = opts.reward_batch;
   const auto gen = core::make_generator(opts.backend, config);
   std::cout << "training " << gen->name()
             << " on the built-in corpus...\n";
@@ -71,10 +69,24 @@ int cmd_gen(int count, std::size_t nodes, std::uint64_t seed,
   gen->fit(corpus);
   core::AttrSampler sampler;
   sampler.fit(corpus);
-  util::Rng rng(seed ^ 0xc11);
+  // Design i is driven by stream i alone, so the thread count cannot
+  // change any design.
+  const std::vector<std::uint64_t> streams =
+      util::split_streams(seed, static_cast<std::size_t>(count));
+  std::vector<graph::NodeAttrs> attrs;
+  for (std::uint64_t stream : streams) {
+    util::Rng attr_rng(util::splitmix64(stream));
+    attrs.push_back(sampler.sample(nodes, attr_rng));
+  }
+  // Spread the designs over the threads, at most 8 per packed chunk.
+  const std::size_t batch = std::min<std::size_t>(
+      8, (attrs.size() + static_cast<std::size_t>(opts.threads) - 1) /
+             static_cast<std::size_t>(opts.threads));
+  std::vector<graph::Graph> designs = gen->generate_batch(
+      attrs, streams, {.batch = batch, .threads = opts.threads});
   std::filesystem::create_directories("out");
   for (int i = 0; i < count; ++i) {
-    graph::Graph g = gen->generate(sampler.sample(nodes, rng), rng);
+    graph::Graph& g = designs[static_cast<std::size_t>(i)];
     g.set_name("syn_" + std::to_string(seed) + "_" + std::to_string(i));
     const auto path = "out/" + g.name() + ".v";
     std::ofstream(path) << rtl::to_verilog(g);
@@ -148,10 +160,10 @@ int main(int argc, char** argv) {
         const std::string arg = argv[i];
         if (arg.rfind("--backend=", 0) == 0) {
           opts.backend = arg.substr(10);
-        } else if (!util::read_flag(arg, "--threads", opts.threads, 1) &&
-                   !util::read_flag(arg, "--trees", opts.trees, 1) &&
-                   !util::read_flag(arg, "--reward-batch", opts.reward_batch,
-                                    1)) {
+        } else if (!util::read_flag(arg, "--threads", opts.threads, 1)) {
+          if (arg.rfind("--", 0) == 0) {
+            throw std::invalid_argument("unknown flag " + arg);
+          }
           positional.push_back(arg);
         }
       }
@@ -177,8 +189,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::cerr << "usage: syncircuit_cli gen [count] [nodes] [seed]"
-               " [--backend=NAME] [--threads=N] [--trees=N]"
-               " [--reward-batch=N]\n"
+               " [--backend=NAME] [--threads=N]\n"
                "       syncircuit_cli stats|synth|dot <file.v>\n"
                "       syncircuit_cli corpus\n"
                "backends:";

@@ -88,45 +88,51 @@ mcts::Reward SynCircuitGenerator::reward() const {
   // Hybrid: learned PCS (the paper's synthesis-free discriminator) plus an
   // exact observability term so single-swap improvements are visible. The
   // discriminator path carries a batched forward so MCTS can score whole
-  // simulations per MLP call (mcts.reward_batch).
+  // simulations per MLP call. Without Phase 3 the discriminator is never
+  // fitted and no reward is needed.
+  if (!config_.optimize) return {};
   return config_.use_discriminator
              ? mcts::hybrid_reward_model(discriminator_)
              : mcts::Reward(mcts::exact_pcs_reward());
 }
 
+diffusion::DiffusionSample SynCircuitGenerator::random_init(
+    const NodeAttrs& attrs, util::Rng& rng) const {
+  // Ablation ("SynCircuit w/o diff"): random edges at corpus density,
+  // uniform-random probabilities for the repair ranking.
+  const std::size_t n = attrs.size();
+  diffusion::DiffusionSample out{AdjacencyMatrix(n), nn::Matrix(n, n)};
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i != j) out.adjacency.set(i, j, rng.bernoulli(corpus_density_));
+      out.edge_prob.at(i, j) = static_cast<float>(rng.uniform());
+    }
+  }
+  return out;
+}
+
+SynCircuitGenerator::Phases SynCircuitGenerator::repair_and_optimize(
+    const NodeAttrs& attrs, diffusion::DiffusionSample phase1,
+    const mcts::Reward& reward, util::Rng& rng) const {
+  Phases out{std::move(phase1.adjacency), Graph{}, Graph{}, {}};
+  // --- Phase 2: probability-guided repair ---
+  out.gval =
+      repair_to_valid(attrs, out.gini, phase1.edge_prob, rng, &out.repair);
+  // --- Phase 3: MCTS redundancy optimization ---
+  out.gopt = config_.optimize
+                 ? mcts::optimize_registers(out.gval, config_.mcts, reward, rng)
+                 : out.gval;
+  return out;
+}
+
 SynCircuitGenerator::Phases SynCircuitGenerator::run_phases(
     const NodeAttrs& attrs, util::Rng& rng) {
   if (!fitted_) throw std::logic_error("SynCircuit: generate before fit");
-  const std::size_t n = attrs.size();
-
   // --- Phase 1: initial sample + edge probabilities ---
-  AdjacencyMatrix gini(n);
-  nn::Matrix edge_prob(n, n);
-  if (config_.use_diffusion) {
-    auto sample = diffusion_.sample(attrs, rng);
-    gini = std::move(sample.adjacency);
-    edge_prob = std::move(sample.edge_prob);
-  } else {
-    // Ablation ("SynCircuit w/o diff"): random edges at corpus density,
-    // uniform-random probabilities for the repair ranking.
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        if (i != j) gini.set(i, j, rng.bernoulli(corpus_density_));
-        edge_prob.at(i, j) = static_cast<float>(rng.uniform());
-      }
-    }
-  }
-
-  // --- Phase 2: probability-guided repair ---
-  Phases out{std::move(gini), Graph{}, Graph{}, {}};
-  out.gval = repair_to_valid(attrs, out.gini, edge_prob, rng, &out.repair);
-
-  // --- Phase 3: MCTS redundancy optimization ---
-  out.gopt = config_.optimize
-                 ? mcts::optimize_registers(out.gval, config_.mcts, reward(),
-                                            rng)
-                 : out.gval;
-  return out;
+  diffusion::DiffusionSample phase1 = config_.use_diffusion
+                                          ? diffusion_.sample(attrs, rng)
+                                          : random_init(attrs, rng);
+  return repair_and_optimize(attrs, std::move(phase1), reward(), rng);
 }
 
 Graph SynCircuitGenerator::generate(const NodeAttrs& attrs, util::Rng& rng) {
@@ -173,25 +179,12 @@ std::vector<Graph> SynCircuitGenerator::generate_batch(
     // it — exactly the scalar run_phases sequence.
     for (std::size_t k = 0; k < n; ++k) {
       const NodeAttrs& attrs = attrs_list[lo + k];
-      const std::size_t num = attrs.size();
-      AdjacencyMatrix gini(num);
-      nn::Matrix edge_prob(num, num);
-      if (config_.use_diffusion) {
-        gini = std::move(phase1[k].adjacency);
-        edge_prob = std::move(phase1[k].edge_prob);
-      } else {
-        for (std::size_t i = 0; i < num; ++i) {
-          for (std::size_t j = 0; j < num; ++j) {
-            if (i != j) gini.set(i, j, rngs[k].bernoulli(corpus_density_));
-            edge_prob.at(i, j) = static_cast<float>(rngs[k].uniform());
-          }
-        }
-      }
-      Graph gval = repair_to_valid(attrs, gini, edge_prob, rngs[k]);
-      Graph gopt = config_.optimize
-                       ? mcts::optimize_registers(gval, config_.mcts,
-                                                  reward_model, rngs[k])
-                       : std::move(gval);
+      diffusion::DiffusionSample sample =
+          config_.use_diffusion ? std::move(phase1[k])
+                                : random_init(attrs, rngs[k]);
+      Graph gopt =
+          repair_and_optimize(attrs, std::move(sample), reward_model, rngs[k])
+              .gopt;
       gopt.set_name("syncircuit");
       out[lo + k] = std::move(gopt);
     }
@@ -206,12 +199,6 @@ std::vector<Graph> SynCircuitGenerator::generate_batch(
     for (const auto& [lo, n] : chunks) run_chunk(lo, n);
   }
   return out;
-}
-
-Graph SynCircuitGenerator::optimize_only(const Graph& gval,
-                                         util::Rng& rng) const {
-  if (!fitted_) throw std::logic_error("SynCircuit: optimize before fit");
-  return mcts::optimize_registers(gval, config_.mcts, reward(), rng);
 }
 
 std::string SynCircuitGenerator::name() const {

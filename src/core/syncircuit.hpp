@@ -72,11 +72,6 @@ class SynCircuitGenerator : public GeneratorModel {
   [[nodiscard]] Phases run_phases(const graph::NodeAttrs& attrs,
                                   util::Rng& rng);
 
-  /// Runs only Phase 3 on an existing valid circuit (used by Fig 4 to
-  /// optimize externally supplied G_val instances).
-  [[nodiscard]] graph::Graph optimize_only(const graph::Graph& gval,
-                                           util::Rng& rng) const;
-
   [[nodiscard]] const AttrSampler& attr_sampler() const { return attrs_; }
   [[nodiscard]] const diffusion::DiffusionModel& diffusion_model() const {
     return diffusion_;
@@ -88,6 +83,16 @@ class SynCircuitGenerator : public GeneratorModel {
 
  private:
   [[nodiscard]] mcts::Reward reward() const;
+  /// Phase 1 for the "w/o diff" ablation: a random adjacency of corpus
+  /// density and uniform edge probabilities.
+  [[nodiscard]] diffusion::DiffusionSample random_init(
+      const graph::NodeAttrs& attrs, util::Rng& rng) const;
+  /// Phases 2–3 on one Phase-1 sample, continuing the design's RNG; the
+  /// one per-design body shared by run_phases and generate_batch.
+  [[nodiscard]] Phases repair_and_optimize(const graph::NodeAttrs& attrs,
+                                           diffusion::DiffusionSample phase1,
+                                           const mcts::Reward& reward,
+                                           util::Rng& rng) const;
 
   SynCircuitConfig config_;
   util::Rng rng_;

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -128,14 +126,17 @@ struct TreeResult {
   double best_reward = 0.0;
 };
 
-/// One independent UCB1 tree over the cone. Owns nothing shared: its Rng
-/// and TreeNodes are task-local, and `reward` is only called, never
-/// mutated — which is what makes root parallelism race-free.
+/// States scored per batched reward call. One simulation yields at most
+/// 1 + max_depth states, so at the production depth a simulation is one
+/// call.
+constexpr int kRewardBatch = 16;
+
+/// One UCB1 tree over the cone, driven by the caller's RNG stream.
 TreeResult run_tree(const Graph& start, double root_reward,
                     const std::vector<NodeId>& cone_pool,
                     const std::vector<NodeId>& global_pool,
-                    const MctsConfig& config, int simulations,
-                    const Reward& reward, util::Rng& rng) {
+                    const MctsConfig& config, const Reward& reward,
+                    util::Rng& rng) {
   TreeNode root;
   root.state = start;
   root.reward = root_reward;
@@ -148,12 +149,8 @@ TreeResult run_tree(const Graph& start, double root_reward,
       out.best_state = g;
     }
   };
-  // Without a batched reward there is nothing to amortize, so states are
-  // scored in place instead of being copied for deferred scoring. Both
-  // paths see the same (state, score) sequence and agree bit-for-bit.
-  const bool batch_scoring = reward.has_batch() && config.reward_batch > 1;
 
-  for (int sim = 0; sim < simulations; ++sim) {
+  for (int sim = 0; sim < config.simulations; ++sim) {
     // --- selection ---
     std::vector<TreeNode*> path{&root};
     TreeNode* node = &root;
@@ -197,58 +194,29 @@ TreeResult run_tree(const Graph& start, double root_reward,
       }
     }
     // --- simulation (random rollout) ---
-    std::vector<Graph> pending;  // batch path: states copied for scoring
-    if (expanded != nullptr) {
-      if (batch_scoring) {
-        pending.push_back(expanded->state);
-      } else {
-        expanded->reward = reward(expanded->state);
-        consider(expanded->state, expanded->reward);
-      }
-    }
-    // Max over the path, taken only once every path node (including a
-    // just-expanded one) is scored — so a default 0.0 never leaks into
-    // backpropagation. The batch path folds it in after scoring below.
-    const auto path_reward_max = [&path] {
-      double m = -std::numeric_limits<double>::infinity();
-      for (TreeNode* p : path) m = std::max(m, p->reward);
-      return m;
-    };
-    double reward_max =
-        batch_scoring ? -std::numeric_limits<double>::infinity()
-                      : path_reward_max();
+    std::vector<Graph> pending;  // this simulation's states, scored below
+    if (expanded != nullptr) pending.push_back(expanded->state);
     Graph rollout = node->state;
     for (int d = depth;
          d < config.max_depth && !cone_pool.empty() && global_pool.size() >= 2;
          ++d) {
       const SwapAction action =
           random_action(rollout, cone_pool, global_pool, {}, rng);
-      if (!apply_swap(rollout, action)) continue;
-      if (batch_scoring) {
-        pending.push_back(rollout);
-      } else {
-        const double r = reward(rollout);
-        consider(rollout, r);
-        reward_max = std::max(reward_max, r);
-      }
+      if (apply_swap(rollout, action)) pending.push_back(rollout);
     }
-    if (batch_scoring) {
-      // Rewards are consumed only after every state of this simulation is
-      // generated, so scoring them in one batched call cannot change the
-      // search trajectory — batching is a pure throughput knob.
-      const std::vector<double> scores =
-          reward.batch(pending, config.reward_batch);
-      std::size_t idx = 0;
-      if (expanded != nullptr) {
-        expanded->reward = scores[idx];
-        consider(expanded->state, scores[idx]);
-        ++idx;
-      }
-      reward_max = path_reward_max();
-      for (; idx < scores.size(); ++idx) {
-        consider(pending[idx], scores[idx]);
-        reward_max = std::max(reward_max, scores[idx]);
-      }
+    // Rewards are consumed only after every state of this simulation is
+    // generated, so scoring them together cannot change the trajectory.
+    const std::vector<double> scores = reward.batch(pending, kRewardBatch);
+    std::size_t idx = 0;
+    if (expanded != nullptr) expanded->reward = scores[idx++];
+    // Max over the path, taken only once every path node (including a
+    // just-expanded one) is scored — so a default 0.0 never leaks into
+    // backpropagation.
+    double reward_max = -std::numeric_limits<double>::infinity();
+    for (TreeNode* p : path) reward_max = std::max(reward_max, p->reward);
+    for (idx = 0; idx < scores.size(); ++idx) {
+      consider(pending[idx], scores[idx]);
+      reward_max = std::max(reward_max, scores[idx]);
     }
     // --- backpropagation with Reward_max (paper §VI-B) ---
     for (TreeNode* p : path) {
@@ -263,56 +231,15 @@ TreeResult run_tree(const Graph& start, double root_reward,
 
 std::pair<Graph, double> optimize_cone(const Graph& start, NodeId reg,
                                        const MctsConfig& config,
-                                       const Reward& reward, util::Rng& rng,
-                                       util::ThreadPool* pool) {
+                                       const Reward& reward, util::Rng& rng) {
   const std::vector<NodeId> cone = graph::driving_cone(start, reg);
   const std::vector<NodeId> cone_pool = swap_candidates(start, cone);
   std::vector<NodeId> all_nodes(start.num_nodes());
   for (NodeId i = 0; i < start.num_nodes(); ++i) all_nodes[i] = i;
   const std::vector<NodeId> global_pool = swap_candidates(start, all_nodes);
-  const double root_reward = reward(start);
-
-  const int trees = std::max(1, config.root_trees);
-  if (trees == 1) {
-    // Paper-faithful single tree on the caller's RNG stream (the pre-PR-2
-    // code path, bit-for-bit).
-    TreeResult r = run_tree(start, root_reward, cone_pool, global_pool,
-                            config, config.simulations, reward, rng);
-    return {std::move(r.best_state), r.best_reward};
-  }
-
-  // Root parallelism. One draw advances the caller's stream (decorrelating
-  // successive cones); every tree seed splits off it by index, so the
-  // trajectory of tree t depends only on (seed, t) — never on which worker
-  // runs it or how many workers exist.
-  const std::vector<std::uint64_t> seeds =
-      util::split_streams(rng.next(), static_cast<std::size_t>(trees));
-  const int base_sims = config.simulations / trees;
-  const int extra = config.simulations % trees;
-  std::vector<TreeResult> results(static_cast<std::size_t>(trees));
-  const auto run_one = [&](std::size_t t) {
-    util::Rng tree_rng(seeds[t]);
-    const int sims = base_sims + (static_cast<int>(t) < extra ? 1 : 0);
-    results[t] = run_tree(start, root_reward, cone_pool, global_pool, config,
-                          sims, reward, tree_rng);
-  };
-  std::optional<util::ThreadPool> local;
-  if (pool == nullptr && config.threads > 1) {
-    local.emplace(static_cast<std::size_t>(config.threads));
-    pool = &*local;
-  }
-  if (pool != nullptr) {
-    pool->parallel_for(results.size(), run_one);
-  } else {
-    for (std::size_t t = 0; t < results.size(); ++t) run_one(t);
-  }
-  // Merge by max reward; strict '>' keeps the lowest tree index on ties,
-  // so the winner is independent of completion order.
-  std::size_t best = 0;
-  for (std::size_t t = 1; t < results.size(); ++t) {
-    if (results[t].best_reward > results[best].best_reward) best = t;
-  }
-  return {std::move(results[best].best_state), results[best].best_reward};
+  TreeResult r = run_tree(start, reward(start), cone_pool, global_pool, config,
+                          reward, rng);
+  return {std::move(r.best_state), r.best_reward};
 }
 
 Graph optimize_registers(const Graph& gval, const MctsConfig& config,
@@ -329,17 +256,10 @@ Graph optimize_registers(const Graph& gval, const MctsConfig& config,
       regs.size() > static_cast<std::size_t>(config.max_registers)) {
     regs.resize(static_cast<std::size_t>(config.max_registers));
   }
-  // One pool for the whole run; each cone's trees are its tasks.
-  std::optional<util::ThreadPool> pool;
-  if (config.threads > 1 && config.root_trees > 1) {
-    pool.emplace(static_cast<std::size_t>(config.threads));
-  }
   Graph current = gval;
   for (int pass = 0; pass < std::max(1, config.passes); ++pass) {
     for (const auto& [cone_size, reg] : regs) {
-      auto [next, r] = optimize_cone(current, reg, config, reward, rng,
-                                     pool ? &*pool : nullptr);
-      current = std::move(next);
+      current = optimize_cone(current, reg, config, reward, rng).first;
     }
   }
   return current;

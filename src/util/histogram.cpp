@@ -169,7 +169,6 @@ double wasserstein1(std::span<const double> a, std::span<const double> b) {
   std::sort(sb.begin(), sb.end());
   // Integrate |F_a^{-1}(q) - F_b^{-1}(q)| over q in [0,1) on the merged
   // quantile grid so unequal sample sizes are handled exactly.
-  const std::size_t n = sa.size() * sb.size();
   double dist = 0.0;
   // Step through the common refinement of the two quantile partitions.
   std::size_t ia = 0, ib = 0;
@@ -183,7 +182,6 @@ double wasserstein1(std::span<const double> a, std::span<const double> b) {
     if (qa <= qn) ++ia;
     if (qb <= qn) ++ib;
   }
-  (void)n;
   return dist;
 }
 

@@ -201,22 +201,17 @@ class Parser {
           break;
         case 'u': {
           unsigned code_point = parse_hex4();
-          // Combine a surrogate pair when a high surrogate is followed by
-          // \uDC00..\uDFFF; a lone surrogate round-trips as U+FFFD.
-          if (code_point >= 0xD800 && code_point <= 0xDBFF &&
-              text_.substr(pos_, 2) == "\\u") {
-            const std::size_t saved = pos_;
+          // A high surrogate must be followed by an escaped low surrogate;
+          // any other surrogate is not a character.
+          if (code_point >= 0xD800 && code_point <= 0xDBFF) {
+            if (text_.substr(pos_, 2) != "\\u") fail("lone surrogate");
             pos_ += 2;
             const unsigned low = parse_hex4();
-            if (low >= 0xDC00 && low <= 0xDFFF) {
-              code_point =
-                  0x10000 + ((code_point - 0xD800) << 10) + (low - 0xDC00);
-            } else {
-              pos_ = saved;
-              code_point = 0xFFFD;
-            }
-          } else if (code_point >= 0xD800 && code_point <= 0xDFFF) {
-            code_point = 0xFFFD;
+            if (low < 0xDC00 || low > 0xDFFF) fail("lone surrogate");
+            code_point =
+                0x10000 + ((code_point - 0xD800) << 10) + (low - 0xDC00);
+          } else if (code_point >= 0xDC00 && code_point <= 0xDFFF) {
+            fail("lone surrogate");
           }
           append_utf8(out, code_point);
           break;
@@ -227,35 +222,40 @@ class Parser {
     }
   }
 
-  Json parse_number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
+  bool at(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
+
+  /// Advances over a run of digits; returns how many there were.
+  std::size_t skip_digits() {
+    const std::size_t from = pos_;
     while (pos_ < text_.size() &&
            std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
       ++pos_;
     }
-    bool integral = true;
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      integral = false;
-      ++pos_;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
+    return pos_ - from;
+  }
+
+  /// RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+  Json parse_number() {
+    const std::size_t start = pos_;
+    if (at('-')) ++pos_;
+    if (at('0')) {
+      ++pos_;  // a leading zero stands alone: "01" ends the number at "0"
+    } else if (skip_digits() == 0) {
+      fail("invalid number");
     }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    bool integral = true;
+    if (at('.')) {
       integral = false;
       ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
+      if (skip_digits() == 0) fail("invalid number");
+    }
+    if (at('e') || at('E')) {
+      integral = false;
+      ++pos_;
+      if (at('+') || at('-')) ++pos_;
+      if (skip_digits() == 0) fail("invalid number");
     }
     const std::string_view token = text_.substr(start, pos_ - start);
-    if (token.empty() || token == "-") fail("invalid number");
 
     // Integer tokens keep full 64-bit precision; only overflowing or
     // fractional/exponent tokens fall back to double.

@@ -47,7 +47,9 @@ class Json {
   Json(JsonObject o) : value_(std::move(o)) {}
 
   /// Parses exactly one JSON value (leading/trailing whitespace allowed;
-  /// anything else after the value is an error). Throws JsonError.
+  /// anything else after the value is an error). The grammar is RFC
+  /// 8259's: numbers such as "01", "0." or ".5" and a \u escape naming a
+  /// lone surrogate are errors. Throws JsonError.
   static Json parse(std::string_view text);
 
   /// Compact single-line serialization (no spaces, keys in insertion

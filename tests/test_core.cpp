@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "core/postprocess.hpp"
 #include "core/syncircuit.hpp"
@@ -207,6 +208,28 @@ TEST_F(PipelineTest, AblationWithoutDiffusionStillValid) {
   const Graph g = gen.generate(attrs, rng);
   EXPECT_TRUE(graph::is_valid(g));
   EXPECT_EQ(gen.name(), "SynCircuit w/o diff w/o opt");
+}
+
+TEST_F(PipelineTest, AblationsBatchMatchScalarGenerate) {
+  // generate_batch shares run_phases' random Phase 1 and Phase 2–3 body,
+  // so each ablation's batch output equals the per-design generate().
+  for (const bool optimize : {false, true}) {
+    SynCircuitGenerator gen(fast_config(false, optimize));
+    gen.fit(small_corpus());
+    util::Rng rng(4);
+    const std::vector<NodeAttrs> attrs{gen.attr_sampler().sample(20, rng),
+                                       gen.attr_sampler().sample(24, rng),
+                                       gen.attr_sampler().sample(22, rng)};
+    const std::vector<std::uint64_t> seeds{5, 6, 7};
+    const auto batch =
+        gen.generate_batch(attrs, seeds, {.batch = 2, .threads = 2});
+    ASSERT_EQ(batch.size(), attrs.size());
+    for (std::size_t i = 0; i < attrs.size(); ++i) {
+      util::Rng item_rng(seeds[i]);
+      EXPECT_EQ(batch[i], gen.generate(attrs[i], item_rng))
+          << "optimize=" << optimize << " item " << i;
+    }
+  }
 }
 
 TEST_F(PipelineTest, PhasesExposeIntermediateStages) {

@@ -272,20 +272,23 @@ TEST(Discriminator, ScoreBatchMatchesScalarPredict) {
 }
 
 TEST(Mcts, RewardBatchingDoesNotChangeSearchResults) {
-  // reward_batch is a pure throughput knob: the search trajectory and the
-  // returned graph must be identical batched and unbatched.
+  // Batched scoring is a pure throughput path: a reward with no batch
+  // function (scored one graph at a time) must drive the same search and
+  // return the same graph as the batched hybrid model.
   const Reward hybrid = hybrid_reward_model(shared_discriminator());
+  const Reward scalar_only(
+      [&hybrid](const Graph& g) { return hybrid(g); });
   const Graph start = redundant_circuit(32, 95);
-  MctsConfig cfg{.simulations = 48, .max_depth = 6, .actions_per_state = 8,
-                 .max_registers = 3, .passes = 1, .root_trees = 4};
-  cfg.reward_batch = 1;
+  const MctsConfig cfg{.simulations = 48, .max_depth = 6,
+                       .actions_per_state = 8, .max_registers = 3,
+                       .passes = 1};
   util::Rng rng_scalar(11);
-  const Graph unbatched = optimize_registers(start, cfg, hybrid, rng_scalar);
-  cfg.reward_batch = 16;
+  const Graph unbatched = optimize_registers(start, cfg, scalar_only, rng_scalar);
   util::Rng rng_batched(11);
   const Graph batched = optimize_registers(start, cfg, hybrid, rng_batched);
   EXPECT_EQ(unbatched, batched);
   EXPECT_TRUE(graph::is_valid(batched));
+  EXPECT_NE(batched, start);  // the search did move
 }
 
 }  // namespace

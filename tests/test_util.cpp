@@ -321,6 +321,22 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(Json::parse("\"unterminated"), JsonError);
   EXPECT_THROW(Json::parse("nul"), JsonError);
   EXPECT_THROW(Json::parse("1 2"), JsonError);  // trailing garbage
+  // RFC 8259 numbers: no leading zeros, digits on both sides of '.', an
+  // exponent needs digits.
+  for (const char* number : {"0.", "01", "-01", ".5", "-", "-.5", "1e",
+                             "1e+", "+1", "[01]"}) {
+    EXPECT_THROW(Json::parse(number), JsonError) << number;
+  }
+  // A lone surrogate is not a character.
+  for (const char* text : {"\"\\ud800\"", "\"\\udc00\"", "\"\\ud800x\"",
+                           "\"\\ud800\\u0041\""}) {
+    EXPECT_THROW(Json::parse(text), JsonError) << text;
+  }
+  // The strict grammar still takes every valid form.
+  EXPECT_EQ(Json::parse("0").u64(), 0u);
+  EXPECT_EQ(Json::parse("-0").i64(), 0);
+  EXPECT_EQ(Json::parse("-0.5e-1").number(), -0.05);
+  EXPECT_EQ(Json::parse("10E+2").number(), 1000.0);
 }
 
 TEST(Json, TypedAccessorsEnforceExactness) {
