@@ -1,6 +1,7 @@
 #include "mcts/discriminator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -20,11 +21,13 @@ using graph::Graph;
 using graph::NodeId;
 using graph::NodeType;
 
-std::vector<double> pcs_features(const Graph& g) {
-  std::vector<double> f;
-  f.reserve(kPcsFeatureDim);
+namespace {
+
+/// Writes the kPcsFeatureDim features of `g` into `f`, given g's
+/// observable mask.
+void write_pcs_features(const Graph& g, const std::vector<bool>& mask,
+                        double* f) {
   const double n = std::max<std::size_t>(g.num_nodes(), 1);
-  const auto mask = graph::observable_mask(g);
 
   std::size_t observable = 0;
   std::size_t observable_regs = 0, regs = 0;
@@ -38,27 +41,28 @@ std::vector<double> pcs_features(const Graph& g) {
       observable_regs += mask[i];
     }
   }
-  f.push_back(static_cast<double>(observable) / n);
-  f.push_back(regs ? static_cast<double>(observable_regs) / regs : 0.0);
-  f.push_back(total_width
-                  ? static_cast<double>(observable_width) / total_width
-                  : 0.0);
+  f[0] = static_cast<double>(observable) / n;
+  f[1] = regs ? static_cast<double>(observable_regs) / regs : 0.0;
+  f[2] = total_width ? static_cast<double>(observable_width) / total_width
+                     : 0.0;
 
-  const auto deg = graph::out_degrees(g);
   double mean_deg = 0.0, max_deg = 0.0, zero_fanout = 0.0;
-  for (auto d : deg) {
+  for (NodeId i = 0; i < g.num_nodes(); ++i) {
+    const std::size_t d = g.fanouts(i).size();
     mean_deg += static_cast<double>(d);
     max_deg = std::max(max_deg, static_cast<double>(d));
     zero_fanout += d == 0;
   }
-  f.push_back(mean_deg / n);
-  f.push_back(max_deg / n);
-  f.push_back(zero_fanout / n);
-  f.push_back(static_cast<double>(g.num_edges()) / n);
+  f[3] = mean_deg / n;
+  f[4] = max_deg / n;
+  f[5] = zero_fanout / n;
+  f[6] = static_cast<double>(g.num_edges()) / n;
 
   // Observable arithmetic mass drives area: multiplier bits squared etc.
   double mul_mass = 0.0, add_mass = 0.0, mux_mass = 0.0;
+  std::array<std::size_t, graph::kNumNodeTypes> hist{};
   for (NodeId i = 0; i < g.num_nodes(); ++i) {
+    ++hist[static_cast<std::size_t>(g.type(i))];
     if (!mask[i]) continue;
     const double w = g.width(i);
     if (g.type(i) == NodeType::kMul) mul_mass += w * w;
@@ -67,17 +71,35 @@ std::vector<double> pcs_features(const Graph& g) {
     }
     if (g.type(i) == NodeType::kMux) mux_mass += w;
   }
-  f.push_back(mul_mass / n);
-  f.push_back(add_mass / n);
-  f.push_back(mux_mass / n);
+  f[7] = mul_mass / n;
+  f[8] = add_mass / n;
+  f[9] = mux_mass / n;
 
-  const auto hist = g.type_histogram();
-  for (std::size_t t = 0; t < hist.size(); ++t) {  // 16 entries
-    f.push_back(static_cast<double>(hist[t]) / n);
+  // The type mix fills the rest: the first 14 of the 16 node types, or
+  // zeros if the vocabulary ever shrinks.
+  constexpr std::size_t kHistBase = 10;
+  for (std::size_t t = 0; kHistBase + t < kPcsFeatureDim; ++t) {
+    f[kHistBase + t] =
+        t < hist.size() ? static_cast<double>(hist[t]) / n : 0.0;
   }
-  // Pad defensively if the node-type vocabulary ever shrinks.
-  while (f.size() < kPcsFeatureDim) f.push_back(0.0);
-  f.resize(kPcsFeatureDim);
+}
+
+double register_fraction(const Graph& g, const std::vector<bool>& mask) {
+  double seen = 0.0, total = 0.0;
+  for (NodeId i = 0; i < g.num_nodes(); ++i) {
+    if (!graph::is_sequential(g.type(i))) continue;
+    const double w = g.width(i);
+    total += w;
+    if (mask[i]) seen += w;
+  }
+  return total > 0.0 ? seen / total : 0.0;
+}
+
+}  // namespace
+
+std::vector<double> pcs_features(const Graph& g) {
+  std::vector<double> f(kPcsFeatureDim);
+  write_pcs_features(g, graph::observable_mask(g), f.data());
   return f;
 }
 
@@ -149,34 +171,46 @@ double PcsDiscriminator::predict(const Graph& g) const {
 
 std::vector<double> PcsDiscriminator::score_batch(
     std::span<const Graph> gs) const {
-  if (!fitted_) {
-    throw std::logic_error("PcsDiscriminator::score_batch before fit");
+  std::vector<double> features(gs.size() * kPcsFeatureDim);
+  for (std::size_t i = 0; i < gs.size(); ++i) {
+    write_pcs_features(gs[i], graph::observable_mask(gs[i]),
+                       features.data() + i * kPcsFeatureDim);
   }
-  if (gs.empty()) return {};
-  // Fused inference path: feature rows go straight into an arena buffer
+  std::vector<double> scores(gs.size());
+  score_features(features, kPcsFeatureDim, scores);
+  return scores;
+}
+
+void PcsDiscriminator::score_features(std::span<const double> rows,
+                                      std::size_t stride,
+                                      std::span<double> out) const {
+  if (!fitted_) {
+    throw std::logic_error("PcsDiscriminator::score_features before fit");
+  }
+  if (out.empty()) return;
+  // Fused inference path: normalized rows go straight into an arena buffer
   // and through the packed MLP — no per-op tensor temporaries. One arena
-  // per thread (scoring runs concurrently under batched MCTS).
+  // per thread (designs are scored concurrently across generate_batch
+  // chunks).
   thread_local nn::InferenceArena arena;
   arena.reset();
-  float* x = arena.alloc(gs.size() * kPcsFeatureDim);
-  for (std::size_t i = 0; i < gs.size(); ++i) {
-    const auto f = pcs_features(gs[i]);
+  float* x = arena.alloc(out.size() * kPcsFeatureDim);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const double* f = rows.data() + i * stride;
     float* row = x + i * kPcsFeatureDim;
     for (std::size_t j = 0; j < kPcsFeatureDim; ++j) {
       row[j] = static_cast<float>((f[j] - mean_[j]) / stddev_[j]);
     }
   }
-  const float* out = nn::mlp_forward_rows(packed_, arena, x, gs.size());
-  std::vector<double> scores(gs.size());
-  for (std::size_t i = 0; i < gs.size(); ++i) {
-    scores[i] = static_cast<double>(out[i]) * label_scale_;
+  const float* y = nn::mlp_forward_rows(packed_, arena, x, out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<double>(y[i]) * label_scale_;
   }
   // The thread_local arena otherwise holds its high-water mark forever;
   // after an unusually large batch, follow the workload back down once the
   // live set is ≤ 1/4 of capacity.
   const std::size_t used = arena.live_floats();
   if (used * 4 <= arena.capacity_floats()) arena.shrink(used);
-  return scores;
 }
 
 RewardFn PcsDiscriminator::as_reward() const {
@@ -189,15 +223,7 @@ RewardFn exact_pcs_reward() {
 }
 
 double observable_register_fraction(const Graph& g) {
-  const auto mask = graph::observable_mask(g);
-  double seen = 0.0, total = 0.0;
-  for (NodeId i = 0; i < g.num_nodes(); ++i) {
-    if (!graph::is_sequential(g.type(i))) continue;
-    const double w = g.width(i);
-    total += w;
-    if (mask[i]) seen += w;
-  }
-  return total > 0.0 ? seen / total : 0.0;
+  return register_fraction(g, graph::observable_mask(g));
 }
 
 RewardFn hybrid_reward(const PcsDiscriminator& discriminator, double bonus) {
@@ -214,22 +240,29 @@ RewardFn hybrid_reward(const PcsDiscriminator& discriminator, double bonus) {
 
 Reward hybrid_reward_model(const PcsDiscriminator& discriminator,
                            double bonus) {
-  // The batch path must mirror hybrid_reward's arithmetic exactly —
-  // same clamp, same term order — so batched MCTS is bit-identical to
-  // unbatched.
-  RewardFn single = hybrid_reward(discriminator, bonus);
+  if (!discriminator.fitted()) {
+    throw std::logic_error("hybrid_reward: discriminator not fitted");
+  }
+  // A row is the raw pcs_features, then the register fraction: one
+  // observable mask serves both. Scoring mirrors hybrid_reward's
+  // arithmetic exactly — same clamp, same term order — so the two agree
+  // bitwise.
+  constexpr std::size_t kWidth = kPcsFeatureDim + 1;
   const double scale = std::max(discriminator.label_scale(), 1e-9);
-  BatchRewardFn batch = [&discriminator, bonus,
-                         scale](std::span<const Graph> gs) {
-    const std::vector<double> raw = discriminator.score_batch(gs);
-    std::vector<double> out(gs.size());
-    for (std::size_t i = 0; i < gs.size(); ++i) {
-      const double learned = std::clamp(raw[i] / scale, 0.0, 1.0);
-      out[i] = bonus * observable_register_fraction(gs[i]) + learned;
-    }
-    return out;
-  };
-  return {std::move(single), std::move(batch)};
+  return {kWidth,
+          [](const Graph& g, std::span<double> row) {
+            const auto mask = graph::observable_mask(g);
+            write_pcs_features(g, mask, row.data());
+            row[kPcsFeatureDim] = register_fraction(g, mask);
+          },
+          [&discriminator, bonus, scale](std::span<const double> rows,
+                                         std::span<double> out) {
+            discriminator.score_features(rows, kWidth, out);
+            for (std::size_t i = 0; i < out.size(); ++i) {
+              const double learned = std::clamp(out[i] / scale, 0.0, 1.0);
+              out[i] = bonus * rows[i * kWidth + kPcsFeatureDim] + learned;
+            }
+          }};
 }
 
 }  // namespace syn::mcts

@@ -46,6 +46,12 @@ class PcsDiscriminator {
   [[nodiscard]] std::vector<double> score_batch(
       std::span<const graph::Graph> gs) const;
 
+  /// The fused forward behind `score_batch`, over `out.size()` rows of
+  /// `pcs_features` values stored `stride` apart in `rows`; row i's result
+  /// is bitwise the same in any batch.
+  void score_features(std::span<const double> rows, std::size_t stride,
+                      std::span<double> out) const;
+
   [[nodiscard]] bool fitted() const { return fitted_; }
   /// Largest PCS label seen in training; used to normalize predictions.
   [[nodiscard]] double label_scale() const { return label_scale_; }
@@ -77,9 +83,11 @@ double observable_register_fraction(const graph::Graph& g);
 RewardFn hybrid_reward(const PcsDiscriminator& discriminator,
                        double bonus = 10.0);
 
-/// `hybrid_reward` packaged with a batched path built on `score_batch`:
-/// the reward model MCTS uses to score all states of a simulation in one
-/// discriminator forward pass. Scalar and batched paths agree bitwise.
+/// `hybrid_reward` as a two-stage `Reward`: `encode` writes a state's
+/// features and register fraction from one observable mask, and `score`
+/// runs the discriminator's fused forward over many rows — the reward
+/// model MCTS uses to score all states of a simulation in one forward
+/// pass. It agrees with `hybrid_reward` bitwise.
 Reward hybrid_reward_model(const PcsDiscriminator& discriminator,
                            double bonus = 10.0);
 

@@ -45,24 +45,67 @@ bool apply_swap(Graph& g, const SwapAction& a) {
   return false;
 }
 
+bool apply_swap(Graph& g, const SwapAction& a, std::vector<SlotEdit>& log) {
+  if (!apply_swap(g, a)) return false;
+  // Each slot's old driver now drives the other slot.
+  log.push_back({a.child_a, a.slot_a, g.fanin(a.child_b, a.slot_b)});
+  log.push_back({a.child_b, a.slot_b, g.fanin(a.child_a, a.slot_a)});
+  return true;
+}
+
+void undo_swaps(Graph& g, std::vector<SlotEdit>& log, std::size_t mark) {
+  while (log.size() > mark) {
+    const SlotEdit e = log.back();
+    log.pop_back();
+    g.set_fanin(e.child, e.slot, e.parent);
+  }
+}
+
+Reward::Reward(RewardFn single, BatchRewardFn /*batch*/)
+    : encode_([single = std::move(single)](const Graph& g,
+                                           std::span<double> row) {
+        row[0] = single(g);
+      }),
+      score_([](std::span<const double> rows, std::span<double> out) {
+        std::copy(rows.begin(), rows.end(), out.begin());
+      }) {}
+
+double Reward::operator()(const Graph& g) const {
+  std::vector<double> row(width_);
+  encode_(g, row);
+  double out = 0.0;
+  score_(row, {&out, 1});
+  return out;
+}
+
 std::vector<double> Reward::batch(std::span<const Graph> gs,
                                   int max_batch) const {
-  std::vector<double> out;
-  out.reserve(gs.size());
-  if (batch_ && max_batch > 1) {
-    util::for_each_chunk(gs.size(), static_cast<std::size_t>(max_batch),
-                         [&](std::size_t lo, std::size_t n) {
-                           const std::vector<double> scores =
-                               batch_(gs.subspan(lo, n));
-                           out.insert(out.end(), scores.begin(), scores.end());
-                         });
-  } else {
-    for (const Graph& g : gs) out.push_back(single_(g));
+  std::vector<double> rows(gs.size() * width_);
+  for (std::size_t i = 0; i < gs.size(); ++i) {
+    encode_(gs[i], std::span(rows).subspan(i * width_, width_));
   }
+  std::vector<double> out(gs.size());
+  util::for_each_chunk(
+      gs.size(), static_cast<std::size_t>(std::max(max_batch, 1)),
+      [&](std::size_t lo, std::size_t n) {
+        score_(std::span(rows).subspan(lo * width_, n * width_),
+               std::span(out).subspan(lo, n));
+      });
   return out;
 }
 
 namespace {
+
+/// Swaps the parents of the two slots with no validity checks, logging the
+/// old drivers: replays an action already applied to this same state.
+void replay_swap(Graph& g, const SwapAction& a, std::vector<SlotEdit>& log) {
+  const NodeId pa = g.fanin(a.child_a, a.slot_a);
+  const NodeId pb = g.fanin(a.child_b, a.slot_b);
+  log.push_back({a.child_a, a.slot_a, pa});
+  log.push_back({a.child_b, a.slot_b, pb});
+  g.set_fanin(a.child_a, a.slot_a, pb);
+  g.set_fanin(a.child_b, a.slot_b, pa);
+}
 
 /// Cone nodes with at least one fan-in slot — the legal swap endpoints.
 std::vector<NodeId> swap_candidates(const Graph& g,
@@ -95,7 +138,7 @@ SwapAction random_action(const Graph& g, const std::vector<NodeId>& cone_pool,
 }
 
 struct TreeNode {
-  Graph state;
+  SwapAction action;  // the swap from the parent's state to this one
   double reward = 0.0;
   int visits = 0;
   double q_sum = 0.0;
@@ -103,55 +146,68 @@ struct TreeNode {
   std::vector<std::unique_ptr<TreeNode>> children;
 };
 
-void seed_actions(TreeNode& node, const std::vector<NodeId>& cone_pool,
+/// Samples the untried actions of `node`, whose state `g` holds.
+void seed_actions(TreeNode& node, const Graph& g,
+                  const std::vector<NodeId>& cone_pool,
                   const std::vector<NodeId>& global_pool,
                   const MctsConfig& config, util::Rng& rng) {
   node.untried.clear();
   if (cone_pool.empty() || global_pool.size() < 2) return;
   // Observable swap counterparties of *this* state (recomputed per node:
   // swaps change observability).
-  const auto mask = graph::observable_mask(node.state);
+  const auto mask = graph::observable_mask(g);
   std::vector<NodeId> observable_pool;
   for (NodeId n : global_pool) {
     if (mask[n]) observable_pool.push_back(n);
   }
   for (int k = 0; k < config.actions_per_state; ++k) {
-    node.untried.push_back(random_action(node.state, cone_pool, global_pool,
-                                         observable_pool, rng));
+    node.untried.push_back(
+        random_action(g, cone_pool, global_pool, observable_pool, rng));
   }
 }
 
 struct TreeResult {
-  Graph best_state;
+  std::vector<SwapAction> best_path;  // swaps from the start state
   double best_reward = 0.0;
 };
 
-/// States scored per batched reward call. One simulation yields at most
+/// States scored per `Reward::score` call. One simulation yields at most
 /// 1 + max_depth states, so at the production depth a simulation is one
 /// call.
-constexpr int kRewardBatch = 16;
+constexpr std::size_t kRewardBatch = 16;
 
-/// One UCB1 tree over the cone, driven by the caller's RNG stream.
-TreeResult run_tree(const Graph& start, double root_reward,
+/// One UCB1 tree over the cone, driven by the caller's RNG stream. Each
+/// simulation replays its selection path onto the working graph `g`,
+/// expands and rolls out in place, and undoes every swap at the end, so
+/// `g` holds the start state on entry and on return.
+TreeResult run_tree(Graph& g, double root_reward,
                     const std::vector<NodeId>& cone_pool,
                     const std::vector<NodeId>& global_pool,
                     const MctsConfig& config, const Reward& reward,
                     util::Rng& rng) {
   TreeNode root;
-  root.state = start;
   root.reward = root_reward;
-  seed_actions(root, cone_pool, global_pool, config, rng);
+  seed_actions(root, g, cone_pool, global_pool, config, rng);
 
-  TreeResult out{start, root_reward};
-  const auto consider = [&out](const Graph& g, double r) {
-    if (r > out.best_reward) {
-      out.best_reward = r;
-      out.best_state = g;
-    }
+  TreeResult out{{}, root_reward};
+  const bool can_swap = !cone_pool.empty() && global_pool.size() >= 2;
+  const std::size_t width = reward.width();
+  std::vector<SlotEdit> log;
+  std::vector<SwapAction> actions;  // swaps from the start state to `g`
+  std::vector<double> rows;  // this simulation's encoded states
+  std::vector<std::size_t> path_len;  // each encoded state's action prefix
+  std::vector<double> scores;
+  const auto encode_state = [&] {
+    rows.resize(rows.size() + width);
+    reward.encode(g, std::span(rows).last(width));
+    path_len.push_back(actions.size());
   };
 
   for (int sim = 0; sim < config.simulations; ++sim) {
-    // --- selection ---
+    actions.clear();
+    rows.clear();
+    path_len.clear();
+    // --- selection (every stored action was valid on this state) ---
     std::vector<TreeNode*> path{&root};
     TreeNode* node = &root;
     int depth = 0;
@@ -173,50 +229,61 @@ TreeResult run_tree(const Graph& start, double root_reward,
         }
       }
       node = chosen;
+      replay_swap(g, node->action, log);
+      actions.push_back(node->action);
       path.push_back(node);
       ++depth;
     }
-    // --- expansion (reward deferred to the batched evaluation below) ---
+    // --- expansion (reward deferred to the batched scoring below) ---
     TreeNode* expanded = nullptr;
     if (depth < config.max_depth && !node->untried.empty()) {
       const SwapAction action = node->untried.back();
       node->untried.pop_back();
-      Graph next = node->state;
-      if (apply_swap(next, action)) {
+      if (apply_swap(g, action, log)) {
         auto child = std::make_unique<TreeNode>();
-        child->state = std::move(next);
-        seed_actions(*child, cone_pool, global_pool, config, rng);
+        child->action = action;
+        seed_actions(*child, g, cone_pool, global_pool, config, rng);
         node->children.push_back(std::move(child));
         node = node->children.back().get();
         expanded = node;
+        actions.push_back(action);
         path.push_back(node);
         ++depth;
+        encode_state();
       }
     }
     // --- simulation (random rollout) ---
-    std::vector<Graph> pending;  // this simulation's states, scored below
-    if (expanded != nullptr) pending.push_back(expanded->state);
-    Graph rollout = node->state;
-    for (int d = depth;
-         d < config.max_depth && !cone_pool.empty() && global_pool.size() >= 2;
-         ++d) {
+    for (int d = depth; d < config.max_depth && can_swap; ++d) {
       const SwapAction action =
-          random_action(rollout, cone_pool, global_pool, {}, rng);
-      if (apply_swap(rollout, action)) pending.push_back(rollout);
+          random_action(g, cone_pool, global_pool, {}, rng);
+      if (apply_swap(g, action, log)) {
+        actions.push_back(action);
+        encode_state();
+      }
     }
+    undo_swaps(g, log);
     // Rewards are consumed only after every state of this simulation is
-    // generated, so scoring them together cannot change the trajectory.
-    const std::vector<double> scores = reward.batch(pending, kRewardBatch);
-    std::size_t idx = 0;
-    if (expanded != nullptr) expanded->reward = scores[idx++];
+    // encoded, so scoring them together cannot change the trajectory.
+    scores.resize(path_len.size());
+    util::for_each_chunk(
+        scores.size(), kRewardBatch, [&](std::size_t lo, std::size_t n) {
+          reward.score(std::span(rows).subspan(lo * width, n * width),
+                       std::span(scores).subspan(lo, n));
+        });
+    if (expanded != nullptr) expanded->reward = scores.front();
     // Max over the path, taken only once every path node (including a
     // just-expanded one) is scored — so a default 0.0 never leaks into
     // backpropagation.
     double reward_max = -std::numeric_limits<double>::infinity();
     for (TreeNode* p : path) reward_max = std::max(reward_max, p->reward);
-    for (idx = 0; idx < scores.size(); ++idx) {
-      consider(pending[idx], scores[idx]);
-      reward_max = std::max(reward_max, scores[idx]);
+    for (std::size_t i = 0; i < scores.size(); ++i) {
+      if (scores[i] > out.best_reward) {
+        out.best_reward = scores[i];
+        out.best_path.assign(actions.begin(),
+                             actions.begin() + static_cast<std::ptrdiff_t>(
+                                                   path_len[i]));
+      }
+      reward_max = std::max(reward_max, scores[i]);
     }
     // --- backpropagation with Reward_max (paper §VI-B) ---
     for (TreeNode* p : path) {
@@ -228,19 +295,6 @@ TreeResult run_tree(const Graph& start, double root_reward,
 }
 
 }  // namespace
-
-std::pair<Graph, double> optimize_cone(const Graph& start, NodeId reg,
-                                       const MctsConfig& config,
-                                       const Reward& reward, util::Rng& rng) {
-  const std::vector<NodeId> cone = graph::driving_cone(start, reg);
-  const std::vector<NodeId> cone_pool = swap_candidates(start, cone);
-  std::vector<NodeId> all_nodes(start.num_nodes());
-  for (NodeId i = 0; i < start.num_nodes(); ++i) all_nodes[i] = i;
-  const std::vector<NodeId> global_pool = swap_candidates(start, all_nodes);
-  TreeResult r = run_tree(start, reward(start), cone_pool, global_pool, config,
-                          reward, rng);
-  return {std::move(r.best_state), r.best_reward};
-}
 
 Graph optimize_registers(const Graph& gval, const MctsConfig& config,
                          const Reward& reward, util::Rng& rng) {
@@ -256,13 +310,24 @@ Graph optimize_registers(const Graph& gval, const MctsConfig& config,
       regs.size() > static_cast<std::size_t>(config.max_registers)) {
     regs.resize(static_cast<std::size_t>(config.max_registers));
   }
-  Graph current = gval;
+  Graph g = gval;
+  // Swaps never change a node's fan-in arity, so the counterparty pool is
+  // the same for every cone.
+  std::vector<NodeId> all_nodes(g.num_nodes());
+  for (NodeId i = 0; i < g.num_nodes(); ++i) all_nodes[i] = i;
+  const std::vector<NodeId> global_pool = swap_candidates(g, all_nodes);
+  std::vector<SlotEdit> log;
   for (int pass = 0; pass < std::max(1, config.passes); ++pass) {
     for (const auto& [cone_size, reg] : regs) {
-      current = optimize_cone(current, reg, config, reward, rng).first;
+      const std::vector<NodeId> cone_pool =
+          swap_candidates(g, graph::driving_cone(g, reg));
+      const TreeResult r = run_tree(g, reward(g), cone_pool, global_pool,
+                                    config, reward, rng);
+      for (const SwapAction& a : r.best_path) replay_swap(g, a, log);
+      log.clear();
     }
   }
-  return current;
+  return g;
 }
 
 Graph random_optimize(const Graph& gval, const MctsConfig& config,

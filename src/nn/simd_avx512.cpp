@@ -20,8 +20,13 @@ struct Avx512V {
   static reg add(reg a, reg b) { return _mm512_add_ps(a, b); }
   static reg mul(reg a, reg b) { return _mm512_mul_ps(a, b); }
   // vmaxps zmm semantics match SSE/AVX: SRC2 on NaN/both-zero, so v as
-  // SRC1 matches the scalar `v > 0.0f ? v : 0.0f` bitwise.
-  static reg max0(reg v) { return _mm512_max_ps(v, _mm512_setzero_ps()); }
+  // SRC1 matches the scalar `v > 0.0f ? v : 0.0f` bitwise. The all-lanes
+  // zero-masked form is the same instruction; GCC 12's unmasked intrinsic
+  // passes an undefined pass-through register and trips
+  // -Wmaybe-uninitialized.
+  static reg max0(reg v) {
+    return _mm512_maskz_max_ps(0xFFFF, v, _mm512_setzero_ps());
+  }
 };
 
 const SimdKernels kTable = make_kernels<Avx512V>();

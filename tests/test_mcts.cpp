@@ -132,6 +132,56 @@ TEST(SwapActionProperty, FuzzedSwapsPreserveDegreesAndAcyclicity) {
   }
 }
 
+TEST(SwapActionProperty, UndoLogRestoresEveryLoggedState) {
+  // Random swaps applied in place with the undo log: undoing back to a
+  // mark restores the state at that mark, and undoing everything restores
+  // the start graph — same fan-ins, same edges(), same fan-out multisets.
+  const auto sorted_fanouts = [](const Graph& g) {
+    std::vector<std::vector<graph::NodeId>> out;
+    for (graph::NodeId i = 0; i < g.num_nodes(); ++i) {
+      out.push_back(g.fanouts(i));
+      std::sort(out.back().begin(), out.back().end());
+    }
+    return out;
+  };
+  for (std::uint64_t seed = 110; seed < 114; ++seed) {
+    Graph g = redundant_circuit(40 + (seed % 3) * 20, seed);
+    const Graph start = g;
+    util::Rng rng(seed ^ 0xbeef);
+    std::vector<SlotEdit> log;
+    std::size_t mark = 0;
+    Graph at_mark;
+    int applied = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+      if (trial == 100) {
+        mark = log.size();
+        at_mark = g;
+      }
+      SwapAction a;
+      a.child_a = static_cast<graph::NodeId>(rng.uniform_int(g.num_nodes()));
+      a.child_b = static_cast<graph::NodeId>(rng.uniform_int(g.num_nodes()));
+      if (g.fanins(a.child_a).empty() || g.fanins(a.child_b).empty()) {
+        continue;
+      }
+      a.slot_a = static_cast<int>(rng.uniform_int(g.fanins(a.child_a).size()));
+      a.slot_b = static_cast<int>(rng.uniform_int(g.fanins(a.child_b).size()));
+      applied += apply_swap(g, a, log);
+    }
+    ASSERT_GT(applied, 0) << "seed " << seed;
+    ASSERT_EQ(log.size(), 2 * static_cast<std::size_t>(applied));
+    ASSERT_NE(g, start) << "seed " << seed;
+    undo_swaps(g, log, mark);
+    EXPECT_EQ(log.size(), mark);
+    EXPECT_EQ(g, at_mark) << "seed " << seed;
+    undo_swaps(g, log);
+    EXPECT_TRUE(log.empty());
+    EXPECT_EQ(g, start) << "seed " << seed;
+    EXPECT_EQ(g.edges(), start.edges()) << "seed " << seed;
+    EXPECT_EQ(g.num_edges(), start.num_edges()) << "seed " << seed;
+    EXPECT_EQ(sorted_fanouts(g), sorted_fanouts(start)) << "seed " << seed;
+  }
+}
+
 TEST(Mcts, ImprovesObservabilityRewardOnRedundantCircuit) {
   // Reward = fraction of registers observable: MCTS should rewire cones
   // so more registers reach outputs.
@@ -271,6 +321,39 @@ TEST(Discriminator, ScoreBatchMatchesScalarPredict) {
   }
 }
 
+TEST(Reward, EncodeThenScoreMatchesScalarBitwise) {
+  // encode + score over batches of 1, 5 and 16 rows gives bitwise the
+  // scalar reward: the tensor-path hybrid_reward for the discriminator
+  // model, the callable itself for a plain graph-taking reward.
+  const PcsDiscriminator& disc = shared_discriminator();
+  const RewardFn hybrid_scalar = hybrid_reward(disc);
+  const RewardFn plain_scalar = testsupport::observability_reward;
+  const Reward hybrid = hybrid_reward_model(disc);
+  const Reward plain = plain_scalar;
+  EXPECT_EQ(hybrid.width(), kPcsFeatureDim + 1);
+  EXPECT_EQ(plain.width(), 1u);
+  std::vector<Graph> graphs;
+  for (std::uint64_t s = 0; s < 16; ++s) {
+    graphs.push_back(redundant_circuit(20 + (s % 5) * 16, 400 + s));
+  }
+  for (const std::size_t n : {1u, 5u, 16u}) {
+    for (const auto& [reward, scalar] : {std::pair{&hybrid, &hybrid_scalar},
+                                         std::pair{&plain, &plain_scalar}}) {
+      const std::size_t w = reward->width();
+      std::vector<double> rows(n * w);
+      for (std::size_t i = 0; i < n; ++i) {
+        reward->encode(graphs[i], std::span(rows).subspan(i * w, w));
+      }
+      std::vector<double> scores(n);
+      reward->score(rows, scores);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(scores[i], (*reward)(graphs[i])) << "batch " << n;
+        EXPECT_EQ(scores[i], (*scalar)(graphs[i])) << "batch " << n;
+      }
+    }
+  }
+}
+
 TEST(Mcts, RewardBatchingDoesNotChangeSearchResults) {
   // Batched scoring is a pure throughput path: a reward with no batch
   // function (scored one graph at a time) must drive the same search and
@@ -289,6 +372,61 @@ TEST(Mcts, RewardBatchingDoesNotChangeSearchResults) {
   EXPECT_EQ(unbatched, batched);
   EXPECT_TRUE(graph::is_valid(batched));
   EXPECT_NE(batched, start);  // the search did move
+}
+
+/// 64-bit FNV-1a over every node's (type, width, param, fan-ins): pins a
+/// search result exactly, but not the fan-out order, which no consumer of
+/// Phase 3's output reads.
+std::uint64_t structure_hash(const Graph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (graph::NodeId i = 0; i < g.num_nodes(); ++i) {
+    mix(static_cast<std::uint64_t>(g.type(i)));
+    mix(static_cast<std::uint64_t>(g.width(i)));
+    mix(g.param(i));
+    for (graph::NodeId p : g.fanins(i)) mix(p);
+  }
+  return h;
+}
+
+/// The production Phase 3 config (server::default_backend_config()).
+constexpr MctsConfig kProductionMcts{.simulations = 40, .max_depth = 8,
+                                     .actions_per_state = 8,
+                                     .max_registers = 6, .passes = 2};
+
+/// Phase 3 output hashes on three fixed designs at production sizes,
+/// recorded before the search moved onto one working graph: the search
+/// trajectory (RNG draws, actions, scores) must not change.
+void expect_golden(const Reward& reward,
+                   const std::vector<std::uint64_t>& golden) {
+  const std::size_t sizes[] = {60, 80, 100};
+  for (std::size_t d = 0; d < 3; ++d) {
+    const Graph start = redundant_circuit(sizes[d], 300 + d);
+    util::Rng rng(700 + d);
+    const Graph optimized =
+        optimize_registers(start, kProductionMcts, reward, rng);
+    EXPECT_TRUE(graph::is_valid(optimized)) << "design " << d;
+    EXPECT_NE(optimized, start) << "design " << d;
+    EXPECT_EQ(structure_hash(optimized), golden[d])
+        << "design " << d << ": 0x" << std::hex << structure_hash(optimized);
+  }
+}
+
+TEST(MctsGolden, HybridRewardAtProductionConfig) {
+  expect_golden(hybrid_reward_model(shared_discriminator()),
+                {0x0fc3128306a94bb5ULL, 0xc957894d651f7626ULL,
+                 0x903d95a8ca8cd8d0ULL});
+}
+
+TEST(MctsGolden, PlainCallableRewardAtProductionConfig) {
+  expect_golden(testsupport::observability_reward,
+                {0xa7d34614baa4b055ULL, 0x7a044d2761489fe6ULL,
+                 0x66df6b5287f39030ULL});
 }
 
 }  // namespace
